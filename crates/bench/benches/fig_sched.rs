@@ -5,7 +5,11 @@
 //! The printed `figures::sched()` table records the serving-level outcomes
 //! (per-class p99 TTFT, SLO attainment, preemptions); the timed section
 //! records simulator cost per policy so scheduler-side regressions show up
-//! in `BENCH_baseline.json`.
+//! in `BENCH_baseline.json`. The `FIG_SIMSCALE` line records how the
+//! simulator's own throughput scales with trace length (req/s at 64k
+//! requests over req/s at 4k), which the CI smoke check gates.
+
+use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use zipserv_bench::figures;
@@ -17,6 +21,22 @@ use zipserv_serve::policy::{Fcfs, PreemptiveSjf, Priority, SchedulePolicy, SloEd
 use zipserv_serve::scheduler::run_policy;
 use zipserv_serve::workload::ArrivalMix;
 
+/// Simulated requests per wall second of `run_policy` on the long-trace
+/// config (one RTX 4090, `Priority`, batch 16, paper mix at 1.2 req/s),
+/// best of five runs.
+fn sim_req_per_s(engine: &ServingEngine, requests: usize) -> f64 {
+    let arrivals = ArrivalMix::paper_mix().generate(1.2, requests, 61);
+    let best_s = (0..5)
+        .map(|_| {
+            let trace = arrivals.clone();
+            let t0 = Instant::now();
+            black_box(run_policy(engine, &Priority::default(), 16, trace));
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min);
+    requests as f64 / best_s
+}
+
 fn bench(c: &mut Criterion) {
     println!("{}", figures::sched());
     let engine = ServingEngine::builder()
@@ -24,6 +44,14 @@ fn bench(c: &mut Criterion) {
         .model(LlmModel::Llama31_8b)
         .cluster(GpuCluster::single(Gpu::Rtx4090))
         .build();
+
+    let short = sim_req_per_s(&engine, 4096);
+    let long = sim_req_per_s(&engine, 65536);
+    println!(
+        "FIG_SIMSCALE rate_ratio={:.4} req_per_s_4k={short:.0} req_per_s_64k={long:.0}",
+        long / short
+    );
+
     let arrivals = ArrivalMix::paper_mix().generate(10.0, 120, 29);
     let policies: Vec<Box<dyn SchedulePolicy>> = vec![
         Box::new(Fcfs),

@@ -9,7 +9,10 @@
 //! drop past the tolerance fails (a faster kernel is not a regression,
 //! and even same-container re-records drift ~10% in either direction);
 //! the deterministic TP-scaling ratios are gated symmetrically, since any
-//! drift there means the cost model itself changed. Usage:
+//! drift there means the cost model itself changed. The simulator's own
+//! scaling (`FIG_SIMSCALE`, printed by the fig_sched bench: req/s at 64k
+//! requests over req/s at 4k, same run) is a measured ratio and gated
+//! one-sided too. Usage:
 //!
 //! ```text
 //! cargo bench -p zipserv-bench --bench fig11_kernels ... | tee bench.log
@@ -43,8 +46,8 @@ fn parse_bench_log(log: &str) -> HashMap<String, f64> {
 /// Parses a machine-readable `<PREFIX> k1=<x> k2=<y>` line (the
 /// `FIG_TP_SCALING` line from the fig_tp bench, the `FIG_FAULT` line from
 /// fig_fault, the `FIG_PIPELINE` line from fig_pipeline, the `FIG_FLEET`
-/// line from fig_fleet, the `FIG_PREFIX` line from fig_prefix) into its
-/// key/value pairs.
+/// line from fig_fleet, the `FIG_PREFIX` line from fig_prefix, the
+/// `FIG_SIMSCALE` line from fig_sched) into its key/value pairs.
 fn parse_kv_line(log: &str, prefix: &str) -> HashMap<String, f64> {
     let mut out = HashMap::new();
     for line in log.lines() {
@@ -121,6 +124,7 @@ fn main() -> ExitCode {
     let pipeline = parse_kv_line(&log, "FIG_PIPELINE ");
     let fleet = parse_kv_line(&log, "FIG_FLEET ");
     let prefix = parse_kv_line(&log, "FIG_PREFIX ");
+    let simscale = parse_kv_line(&log, "FIG_SIMSCALE ");
 
     let log_ratio =
         |num: &str, den: &str| -> Option<f64> { Some(means.get(num)? / means.get(den)?) };
@@ -210,6 +214,19 @@ fn main() -> ExitCode {
         }
     }
 
+    // Simulator scaling is measured, so like the kernel speedups only a
+    // drop (long traces getting relatively slower) regresses.
+    let name = "fig_sched_simscale_rate_ratio";
+    match (simscale.get("rate_ratio"), baseline_number(&baseline, name)) {
+        (Some(&current), Some(baseline)) => checks.push(Check {
+            name,
+            current,
+            baseline,
+            symmetric: false,
+        }),
+        _ => missing.push(name),
+    }
+
     if !missing.is_empty() {
         eprintln!(
             "smoke_check: missing data for {missing:?} (bench not run or baseline entry absent)"
@@ -258,7 +275,8 @@ mod tests {
                    FIG_TP_SCALING tp2=1.5 tp4=2.0\nFIG_FAULT goodput_ratio=0.8123 availability=0.9511\n\
                    FIG_PIPELINE min_bubble_gain=1.67 ttft_p99_gain=5.28 tput_ratio=0.99\n\
                    FIG_FLEET p2c_ttft_gain=1.29 autoscale_tput_ratio=2.91\n\
-                   FIG_PREFIX flops_saved=0.68 ttft_gain=32.26\n";
+                   FIG_PREFIX flops_saved=0.68 ttft_gain=32.26\n\
+                   FIG_SIMSCALE rate_ratio=1.0412 req_per_s_4k=196000 req_per_s_64k=189000\n";
         let means = parse_bench_log(log);
         assert_eq!(means.get("a/b/c"), Some(&123.4));
         assert_eq!(means.len(), 1);
@@ -277,6 +295,9 @@ mod tests {
         let prefix = parse_kv_line(log, "FIG_PREFIX ");
         assert_eq!(prefix.get("flops_saved"), Some(&0.68));
         assert_eq!(prefix.get("ttft_gain"), Some(&32.26));
+        let simscale = parse_kv_line(log, "FIG_SIMSCALE ");
+        assert_eq!(simscale.get("rate_ratio"), Some(&1.0412));
+        assert_eq!(simscale.get("req_per_s_64k"), Some(&189000.0));
     }
 
     #[test]

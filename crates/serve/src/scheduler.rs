@@ -180,7 +180,8 @@ pub struct ScheduleReport {
 /// exists to catch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StepCacheStats {
-    /// Decode steps priced from a cached entry.
+    /// Decode steps priced from a cached entry, fast-forwarded rounds
+    /// included.
     pub hits: u64,
     /// Decode steps that ran the engine's step model.
     pub misses: u64,
@@ -640,6 +641,29 @@ fn apply_due_faults(
 
 /// [`run_policy`] with deterministic fault injection and recovery.
 ///
+/// The loop's cost is linear in the trace, and close to nothing for a
+/// decode round that only repeats the one before it:
+///
+/// * **Arrival cursor** — the sorted trace is read through a cursor, and
+///   `pending` holds only requests that have arrived (plus preemption and
+///   fault victims, which re-enter by arrival time). Each admission pass
+///   pulls every arrival with `arrival_s <= now`; the idle jump, the
+///   hold's wake-up time and the policy-hold shed read the cursor. Every
+///   unpulled arrival is later than every queued request, so the queue a
+///   policy sees is exactly the arrived prefix of a whole-trace queue,
+///   and an admission costs O(queue) instead of O(trace).
+/// * **Decode fast-forward** — after a round retires, the rounds that
+///   would do nothing but repeat its decode step run in a tight loop that
+///   adds the cached step cost to the clock and the comm total, one round
+///   at a time (the same float additions in the same order), then credits
+///   each resident with the skipped tokens. A round qualifies when no
+///   resident is prefilling, admission is a no-op (nothing has arrived,
+///   or the batch is at `max_batch`), the fault state is clean with no
+///   event due, and the context bucket is unchanged — the integer mean
+///   context rises by exactly one per round. The loop stops one round
+///   before the first resident finishes, so that round runs in full.
+///   Skipped rounds call no policy method and count as step-cache hits.
+///
 /// The clean-path guarantee: with an empty [`FaultPlan`] this function
 /// executes *exactly* the arithmetic of the pre-fault loop — every fault
 /// branch is behind a `plan.is_empty()` check, capacity scaling is
@@ -665,7 +689,9 @@ fn apply_due_faults(
 ///   engine stalls for the transfer / per-frame PCIe re-fetch time.
 ///
 /// Every request resolves exactly once: it either completes or appears in
-/// [`ScheduleReport::rejections`] with a typed reason.
+/// [`ScheduleReport::rejections`] with a typed reason. Debug builds
+/// assert this at the end of every run, and assert throughout that the
+/// clock never runs backwards.
 pub fn run_policy_faulted(
     engine: &ServingEngine,
     policy: &dyn SchedulePolicy,
@@ -713,7 +739,10 @@ pub fn run_policy_faulted(
     } else {
         None
     };
-    let mut pending: Vec<QueuedRequest> = arrivals.into_iter().map(QueuedRequest::fresh).collect();
+    // `arrivals[next_arrival..]` have not arrived yet; `pending` holds only
+    // requests that have, in arrival order.
+    let mut next_arrival = 0usize;
+    let mut pending: Vec<QueuedRequest> = Vec::new();
     let mut running: Vec<RunningRequest> = Vec::new();
     let mut completions = Vec::new();
     let mut rejections: Vec<Rejection> = Vec::new();
@@ -732,6 +761,8 @@ pub fn run_policy_faulted(
     // the key needs no fault epoch.
     let mut step_cache: HashMap<(u64, u64), (f64, f64)> = HashMap::new();
     let mut cache_stats = StepCacheStats::default();
+    // Last clock reading, for the debug-build monotonicity check.
+    let mut last_now = now;
 
     // Worst-case KV demand if `cand` joins the current batch (same
     // whole-lifetime accounting as the legacy loop).
@@ -764,17 +795,30 @@ pub fn run_policy_faulted(
         };
     }
 
-    while !pending.is_empty() || !running.is_empty() {
+    macro_rules! assert_clock_monotone {
+        () => {
+            debug_assert!(now >= last_now, "clock ran backwards: {last_now} -> {now}");
+            last_now = now;
+        };
+    }
+
+    while !pending.is_empty() || !running.is_empty() || next_arrival < arrivals.len() {
         faults_due!();
+        assert_clock_monotone!();
         // Admission phase.
-        'admit: while !pending.is_empty() {
-            if pending[0].req.arrival_s > now && running.is_empty() {
+        'admit: while !pending.is_empty() || next_arrival < arrivals.len() {
+            if pending.is_empty() && running.is_empty() && arrivals[next_arrival].arrival_s > now {
                 // Idle: jump to the next arrival.
-                now = pending[0].req.arrival_s;
+                now = arrivals[next_arrival].arrival_s;
                 faults_due!();
             }
-            let arrived = pending.partition_point(|p| p.req.arrival_s <= now);
-            if arrived == 0 || running.len() >= max_batch {
+            // Every queued request arrived before any unpulled one, so
+            // appending keeps `pending` in arrival order.
+            while next_arrival < arrivals.len() && arrivals[next_arrival].arrival_s <= now {
+                pending.push(QueuedRequest::fresh(arrivals[next_arrival]));
+                next_arrival += 1;
+            }
+            if pending.is_empty() || running.len() >= max_batch {
                 break;
             }
             // Streaming admission is paced: at most one prefilling resident
@@ -794,11 +838,11 @@ pub fn run_policy_faulted(
             // Backoff gating: fault victims waiting out their backoff are
             // invisible to the policy until `not_before_s`. On the clean
             // path every `not_before_s` is 0, so the view is the plain
-            // arrived slice and no gating work happens.
+            // arrived queue and no gating work happens.
             let picked = if clean {
-                policy.select(&pending[..arrived], &running, now)
+                policy.select(&pending, &running, now)
             } else {
-                let eligible: Vec<usize> = (0..arrived)
+                let eligible: Vec<usize> = (0..pending.len())
                     .filter(|&i| pending[i].not_before_s <= now)
                     .collect();
                 let view: Vec<QueuedRequest> = eligible.iter().map(|&i| pending[i]).collect();
@@ -814,12 +858,9 @@ pub fn run_policy_faulted(
                     // jump to whatever ends the hold first — the next
                     // arrival, the earliest backoff expiry, or the next
                     // fault event (a repair can end a brownout).
-                    let mut wake = pending
-                        .iter()
-                        .find(|p| p.req.arrival_s > now)
-                        .map(|p| p.req.arrival_s);
+                    let mut wake = arrivals.get(next_arrival).map(|r| r.arrival_s);
                     if !clean {
-                        let backoff = pending[..arrived]
+                        let backoff = pending
                             .iter()
                             .map(|p| p.not_before_s)
                             .filter(|&t| t > now)
@@ -857,7 +898,7 @@ pub fn run_policy_faulted(
                 }
                 break;
             };
-            assert!(pick < arrived, "policy selected an unarrived request");
+            assert!(pick < pending.len(), "policy selected an unarrived request");
             let cand = pending[pick];
 
             // A request whose lifetime KV demand exceeds capacity can never
@@ -1092,9 +1133,6 @@ pub fn run_policy_faulted(
         }
         peak_batch = peak_batch.max(running.len());
         if running.is_empty() {
-            if pending.is_empty() {
-                break;
-            }
             continue;
         }
 
@@ -1202,6 +1240,61 @@ pub fn run_policy_faulted(
                 true
             }
         });
+
+        // Decode fast-forward. While the batch is unchanged (nobody
+        // finished or is prefilling) and the fault state is clean, the
+        // next round only repeats this decode step, priced from the same
+        // cache entry, as long as it admits nothing and finds no fault
+        // event due. Skip such rounds here, bounded by the first
+        // completion (that round runs in full) and by the last round whose
+        // mean context, rising one per round, stays in this bucket. A full
+        // batch admits nothing, whatever has arrived.
+        let batch_full = running.len() >= max_batch;
+        if running.len() as u64 == batch
+            && !running.iter().any(RunningRequest::is_prefilling)
+            && (clean || books.state.is_clean())
+            && (batch_full || pending.is_empty())
+        {
+            let to_first_completion = running
+                .iter()
+                .map(RunningRequest::remaining_output)
+                .min()
+                .unwrap_or(0);
+            let max_rounds = to_first_completion
+                .saturating_sub(1)
+                .min(bucket + 255 - mean_context);
+            let mut rounds = 0u64;
+            while rounds < max_rounds
+                && (batch_full
+                    || !arrivals
+                        .get(next_arrival)
+                        .is_some_and(|r| r.arrival_s <= now))
+                && !events.get(next_event).is_some_and(|e| e.at_s <= now)
+            {
+                now += ms / 1e3;
+                comm_s += step_comm_ms / 1e3;
+                assert_clock_monotone!();
+                rounds += 1;
+            }
+            for f in running.iter_mut() {
+                f.generated += rounds;
+            }
+            output_tokens += rounds * batch;
+            cache_stats.hits += rounds;
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    {
+        let mut resolved: Vec<u64> = completions
+            .iter()
+            .map(|c| c.id)
+            .chain(rejections.iter().map(|r| r.id))
+            .collect();
+        let mut expected: Vec<u64> = arrivals.iter().map(|r| r.id).collect();
+        resolved.sort_unstable();
+        expected.sort_unstable();
+        assert_eq!(resolved, expected, "every arrival resolves exactly once");
     }
 
     if !clean {
@@ -1565,6 +1658,53 @@ mod tests {
         assert_eq!(report.rejected, vec![99]);
         assert_eq!(report.completions.len(), 8);
         assert_eq!(report.preemptions, 0, "no victims for a hopeless candidate");
+    }
+
+    /// A policy that never admits anything.
+    #[derive(Debug, Clone)]
+    struct HoldAll;
+
+    impl SchedulePolicy for HoldAll {
+        fn name(&self) -> &'static str {
+            "hold-all"
+        }
+
+        fn select(&self, _: &[QueuedRequest], _: &[RunningRequest], _: f64) -> Option<usize> {
+            None
+        }
+
+        fn clone_box(&self) -> Box<dyn SchedulePolicy> {
+            Box::new(self.clone())
+        }
+    }
+
+    #[test]
+    fn policy_hold_sheds_every_request_once_in_arrival_order() {
+        // The idle engine wakes at every arrival, finds the policy still
+        // holding, and once nothing is left to wake it sheds the queue.
+        let zip = engine(EngineKind::ZipServ);
+        let arrivals = poisson_arrivals(0.5, 12, 128, 16, 5);
+        let last_arrival = arrivals.last().expect("non-empty").arrival_s;
+        let expected: Vec<Rejection> = arrivals
+            .iter()
+            .map(|r| Rejection {
+                id: r.id,
+                reason: RejectReason::PolicyHold,
+            })
+            .collect();
+        let reversed: Vec<Request> = arrivals.iter().rev().copied().collect();
+        let clean = run_policy(&zip, &HoldAll, 8, reversed.clone());
+        assert!(clean.completions.is_empty());
+        assert_eq!(clean.rejections, expected);
+        assert_eq!(clean.duration_s, last_arrival);
+
+        // A fault event mid-trace is one more wake-up, not a resolution.
+        let plan = FaultPlan::new().kv_stall(0.5 * last_arrival, 0.25);
+        let faulted =
+            run_policy_faulted(&zip, &HoldAll, 8, reversed, &plan, &RetryPolicy::default());
+        assert!(faulted.completions.is_empty());
+        assert_eq!(faulted.rejections, expected);
+        assert_eq!(faulted.robustness.faults_injected, 1);
     }
 
     #[test]
