@@ -24,7 +24,7 @@
 
 use super::layout::{BlockOffset, TbeMatrix};
 use crate::error::TbeError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use zipserv_entropy::rans::PlanarRansBlob;
 
 const MAGIC: &[u8; 4] = b"ZTBE";
@@ -140,36 +140,27 @@ pub fn to_bytes_with_codec(m: &TbeMatrix, codec: SectionCodec) -> Bytes {
 /// # Errors
 ///
 /// Returns [`TbeError::Corrupt`] on a bad magic, version, truncated
-/// payload or checksum mismatch.
+/// payload, checksum mismatch, or a section length larger than the blob.
 pub fn from_bytes(bytes: &[u8]) -> Result<TbeMatrix, TbeError> {
-    const E: TbeError = TbeError::Corrupt("truncated TCA-TBE blob");
     if bytes.len() < 8 + 16 + 8 {
-        return Err(E);
+        return Err(TRUNCATED);
     }
     let (body, tail) = bytes.split_at(bytes.len() - 8);
     let want = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
     if fnv1a(body) != want {
         return Err(TbeError::Corrupt("checksum mismatch"));
     }
-    let mut buf = body;
-    let mut take = |n: usize| -> Result<&[u8], TbeError> {
-        if buf.remaining() < n {
-            return Err(E);
-        }
-        let (head, rest) = buf.split_at(n);
-        buf = rest;
-        Ok(head)
-    };
+    let mut body = Body(body);
 
-    if take(4)? != MAGIC {
+    if body.take(4)? != MAGIC {
         return Err(TbeError::Corrupt("bad magic"));
     }
-    let version = u16::from_le_bytes(take(2)?.try_into().expect("2"));
+    let version = u16::from_le_bytes(body.take(2)?.try_into().expect("2"));
     if version != VERSION && version != VERSION_CODEC {
         return Err(TbeError::Corrupt("unsupported version"));
     }
-    let base_exp = take(1)?[0];
-    let codec_byte = take(1)?[0];
+    let base_exp = body.take(1)?[0];
+    let codec_byte = body.take(1)?[0];
     // Version 1 wrote a zero pad where version 2 keeps the codec; a
     // nonzero byte there is corruption, not a codec.
     let codec = if version == VERSION_CODEC {
@@ -179,39 +170,39 @@ pub fn from_bytes(bytes: &[u8]) -> Result<TbeMatrix, TbeError> {
     } else {
         return Err(TbeError::Corrupt("nonzero pad in version-1 blob"));
     };
-    let rows = u64::from_le_bytes(take(8)?.try_into().expect("8")) as usize;
-    let cols = u64::from_le_bytes(take(8)?.try_into().expect("8")) as usize;
+    let rows = body.u64()? as usize;
+    let cols = body.u64()? as usize;
 
-    let n_tiles = u64::from_le_bytes(take(8)?.try_into().expect("8")) as usize;
+    let n_tiles = body.count(24)?;
     let mut bitmaps = Vec::with_capacity(n_tiles);
     for _ in 0..n_tiles {
         let mut planes = [0u64; 3];
         for p in planes.iter_mut() {
-            *p = u64::from_le_bytes(take(8)?.try_into().expect("8"));
+            *p = body.u64()?;
         }
         bitmaps.push(planes);
     }
-    let n_hf = u64::from_le_bytes(take(8)?.try_into().expect("8")) as usize;
+    let n_hf = body.count(1)?;
     let high_freq = match codec {
-        SectionCodec::Raw => take(n_hf)?.to_vec(),
+        SectionCodec::Raw => body.take(n_hf)?.to_vec(),
         SectionCodec::PlanarRans if n_hf == 0 => Vec::new(),
-        SectionCodec::PlanarRans => PlanarRansBlob::from_wire(take(n_hf)?)
+        SectionCodec::PlanarRans => PlanarRansBlob::from_wire(body.take(n_hf)?)
             .map_err(|_| TbeError::Corrupt("malformed entropy-coded section"))?
             .decompress()
             .map_err(|_| TbeError::Corrupt("entropy-coded section failed its checksum"))?,
     };
-    let n_fb = u64::from_le_bytes(take(8)?.try_into().expect("8")) as usize;
-    let fb_raw = take(n_fb * 2)?;
-    let fallback: Vec<u16> = fb_raw
+    let n_fb = body.count(2)?;
+    let fallback: Vec<u16> = body
+        .take(n_fb * 2)?
         .chunks_exact(2)
         .map(|c| u16::from_le_bytes(c.try_into().expect("2")))
         .collect();
-    let n_blocks = u64::from_le_bytes(take(8)?.try_into().expect("8")) as usize;
+    let n_blocks = body.count(12)?;
     let mut blocks = Vec::with_capacity(n_blocks);
     for _ in 0..n_blocks {
-        let hf = u32::from_le_bytes(take(4)?.try_into().expect("4"));
-        let fb = u32::from_le_bytes(take(4)?.try_into().expect("4"));
-        let tiles = u32::from_le_bytes(take(4)?.try_into().expect("4"));
+        let hf = body.u32()?;
+        let fb = body.u32()?;
+        let tiles = body.u32()?;
         blocks.push((
             BlockOffset {
                 high_freq: hf,
@@ -223,12 +214,102 @@ pub fn from_bytes(bytes: &[u8]) -> Result<TbeMatrix, TbeError> {
     TbeMatrix::from_raw_parts(rows, cols, base_exp, bitmaps, high_freq, fallback, blocks)
 }
 
+const TRUNCATED: TbeError = TbeError::Corrupt("truncated TCA-TBE blob");
+
+/// The checksummed body of a blob, read front to back.
+struct Body<'a>(&'a [u8]);
+
+impl<'a> Body<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], TbeError> {
+        if self.0.len() < n {
+            return Err(TRUNCATED);
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn u32(&mut self) -> Result<u32, TbeError> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
+    }
+
+    fn u64(&mut self) -> Result<u64, TbeError> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+    }
+
+    /// A section's record count, checked against the bytes left before
+    /// anything is allocated for it: the checksum is not a MAC, so a forged
+    /// count can carry a valid one.
+    fn count(&mut self, record_bytes: usize) -> Result<usize, TbeError> {
+        let n = self.u64()?;
+        usize::try_from(n)
+            .ok()
+            .filter(|n| {
+                n.checked_mul(record_bytes)
+                    .is_some_and(|b| b <= self.0.len())
+            })
+            .ok_or(TbeError::Corrupt("section length exceeds the blob"))
+    }
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::compress::TbeCompressor;
     use zipserv_bf16::gen::WeightGen;
+
+    /// Overwrites the `u64` at `at` and re-seals the blob with a valid
+    /// checksum, as a forger would.
+    fn forge(bytes: &[u8], at: usize, value: &[u8]) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        out[at..at + value.len()].copy_from_slice(value);
+        let body = out.len() - 8;
+        let sum = fnv1a(&out[..body]);
+        out[body..].copy_from_slice(&sum.to_le_bytes());
+        out
+    }
+
+    fn u64_at(bytes: &[u8], at: usize) -> u64 {
+        u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+    }
+
+    #[test]
+    fn forged_section_lengths_are_typed_errors_not_allocations() {
+        let w = WeightGen::new(0.018).seed(60).matrix(16, 16);
+        let bytes = to_bytes(&TbeCompressor::new().compress(&w).unwrap()).to_vec();
+        // Offsets of the four length fields (fixed 24-byte header first).
+        let tiles_at = 24;
+        let hf_at = tiles_at + 8 + 24 * u64_at(&bytes, tiles_at) as usize;
+        let fb_at = hf_at + 8 + u64_at(&bytes, hf_at) as usize;
+        let blocks_at = fb_at + 8 + 2 * u64_at(&bytes, fb_at) as usize;
+        assert!(from_bytes(&bytes).is_ok());
+        for (at, value) in [
+            (tiles_at, 1u64 << 40), // ~26 TB of bitmaps
+            (hf_at, 1 << 40),
+            (fb_at, 1 << 63), // `n_fb * 2` overflows
+            (fb_at, 1 << 40),
+            (blocks_at, 1 << 40),
+            (blocks_at, u64::MAX),
+        ] {
+            let forged = forge(&bytes, at, &value.to_le_bytes());
+            assert!(
+                matches!(from_bytes(&forged), Err(TbeError::Corrupt(_))),
+                "length {value:#x} at byte {at} was not refused"
+            );
+        }
+    }
+
+    #[test]
+    fn forged_entropy_stream_count_is_a_typed_error() {
+        let w = WeightGen::new(0.018).seed(61).matrix(16, 16);
+        let tbe = TbeCompressor::new().compress(&w).unwrap();
+        let bytes = to_bytes_with_codec(&tbe, SectionCodec::PlanarRans).to_vec();
+        let hf_at = 24 + 8 + 24 * u64_at(&bytes, 24) as usize;
+        // The planar frame opens with its u32 stream count.
+        let forged = forge(&bytes, hf_at + 8, &u32::MAX.to_le_bytes());
+        assert!(matches!(from_bytes(&forged), Err(TbeError::Corrupt(_))));
+    }
 
     #[test]
     fn roundtrip() {

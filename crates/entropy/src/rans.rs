@@ -449,8 +449,9 @@ impl PlanarRansBlob {
     ///
     /// # Errors
     ///
-    /// Returns [`CodecError::Corrupt`] on a zero stream count and
-    /// [`CodecError::UnexpectedEof`] on any truncation.
+    /// Returns [`CodecError::Corrupt`] on a zero stream count or one too
+    /// large for the frame, and [`CodecError::UnexpectedEof`] on any
+    /// truncation.
     pub fn from_wire(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut buf = bytes;
         let mut take = |n: usize| -> Result<&[u8], CodecError> {
@@ -465,6 +466,13 @@ impl PlanarRansBlob {
         let n_streams = le_u32(take(4)?) as usize;
         if n_streams == 0 {
             return Err(CodecError::Corrupt("planar frame with zero streams"));
+        }
+        // Every stream carries a 4-byte state and a 4-byte payload length
+        // after the fixed header; refuse a count the frame cannot hold
+        // before allocating for it.
+        const HEADER: usize = 4 + 8 + 8 + 4 * 256;
+        if n_streams > bytes.len().saturating_sub(HEADER) / 8 {
+            return Err(CodecError::Corrupt("stream count exceeds the frame"));
         }
         let n_symbols = u64::from_le_bytes(take(8)?.try_into().unwrap_or_default()) as usize;
         let checksum = u64::from_le_bytes(take(8)?.try_into().unwrap_or_default());
@@ -779,6 +787,25 @@ mod tests {
             PlanarRansBlob::from_wire(&wire[..3]),
             Err(CodecError::UnexpectedEof)
         ));
+    }
+
+    #[test]
+    fn planar_wire_refuses_a_forged_stream_count() {
+        // The stream count is read before any checksum can vouch for it;
+        // a count the frame cannot hold is refused before allocating.
+        let mut wire = PlanarRansBlob::compress(&skewed_data(1_024), 8)
+            .unwrap()
+            .to_wire();
+        for forged in [u32::MAX, 1 << 28, 1_000] {
+            wire[..4].copy_from_slice(&forged.to_le_bytes());
+            assert!(
+                matches!(
+                    PlanarRansBlob::from_wire(&wire),
+                    Err(CodecError::Corrupt(_))
+                ),
+                "{forged} streams accepted"
+            );
+        }
     }
 
     #[test]

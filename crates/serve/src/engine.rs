@@ -887,24 +887,6 @@ impl ServingEngine {
             + self.kind.other_ms(dims.layers)
     }
 
-    /// The serial admission charge one fresh prompt of `class` adds to a
-    /// replica's clock under this deployment's resolved admission mode:
-    /// the whole [`ServingEngine::prefill_ms`] on the legacy path, but
-    /// only one chunk's share (`1 / pp`) when streaming admission chunks
-    /// the prefill — the remaining chunks ride micro-batch slots between
-    /// decode steps instead of serializing ahead of later requests. The
-    /// fleet's slot virtual clock prices in-flight depth with this
-    /// estimate; using the whole-prefill figure for chunked replicas
-    /// overestimated their depth and skewed load-aware routing.
-    pub fn admission_prefill_ms(&self, prompt_len: u64, class: PriorityClass) -> f64 {
-        let whole = self.prefill_ms(1, prompt_len);
-        if self.chunked_prefill && !self.whole_prefill_for(class) {
-            whole / f64::from(self.cluster.pp().max(1))
-        } else {
-            whole
-        }
-    }
-
     /// Applies the pipeline schedule to a serial prefill core: identity at
     /// `pp == 1`, GPipe makespan otherwise. `scalable_ms` (GEMMs,
     /// attention, all-reduce) divides across micro-batches; `fixed_ms`

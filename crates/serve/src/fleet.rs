@@ -1,16 +1,17 @@
 //! Fleet-scale serving: a router driving one arrival stream across N replicas.
 //!
 //! A [`FleetRouter`] owns N replicas — each its own [`ServingEngine`] (and
-//! therefore its own `SchedulePolicy`, [`KvShards`], and optional
-//! `FaultPlan`) — and partitions a shared arrival trace across them with a
-//! pluggable [`RoutePolicy`]. Routing is online and per-arrival: the router
-//! maintains a *live* per-replica [`KvShards`] mirror with whole-lifetime
-//! token reservations (the same books streaming admission keeps inside the
-//! engine), so policies like [`LeastKvPressure`] read exact per-rank page
-//! occupancy rather than queue-length estimates. After the whole trace is
-//! routed, each replica simulates its partition with
-//! [`ServingEngine::serve_online`] and the per-replica
-//! [`ScheduleReport`]s are merged into a [`FleetReport`].
+//! therefore its own `SchedulePolicy`, KV books and optional `FaultPlan`)
+//! — and partitions a shared arrival trace across them with a pluggable
+//! [`RoutePolicy`]. The fleet runs on one clock: each replica is a
+//! resumable [`SchedulerState`], and before every arrival each replica's
+//! scheduler steps to the arrival time. Routing therefore reads the
+//! replicas' *live* state ([`ReplicaSnapshot`]): requests in flight, and
+//! per-rank KV pressure from the books each replica's admission keeps.
+//! The arrival is then pushed to the chosen replica, and at the end each
+//! replica's [`ScheduleReport`] is merged into a [`FleetReport`]. A
+//! replica's report is exactly the one it would produce serving its share
+//! of the trace on its own.
 //!
 //! Three fleet-level behaviours are opt-in (all default off, which makes a
 //! single-replica fleet bit-compatible with the bare `run_policy`
@@ -22,8 +23,7 @@
 //!   requests too large for every replica's KV capacity are rejected as
 //!   [`RejectReason::Oversized`] before they pollute any replica trace;
 //! * **autoscaling** ([`FleetRouter::autoscale`]) — scale-up spawns a cold
-//!   replica through the pristine-clone path (`ServingEngine::clone`
-//!   shares the step memo and the pristine [`KvShards`] proto, so a new
+//!   replica: a fresh scheduler over the first replica's engine (a new
 //!   replica costs O(1)); scale-down marks the highest-index active
 //!   replica as draining: it finishes its assigned work but receives no
 //!   new traffic;
@@ -35,11 +35,11 @@
 
 use crate::engine::ServingEngine;
 use crate::fault::{FaultKind, RejectReason, Rejection};
-use crate::kvcache::{KvShards, PrefixStats};
+use crate::kvcache::PrefixStats;
 use crate::metrics;
 use crate::parallel::PipelineKind;
 use crate::policy::PriorityClass;
-use crate::scheduler::{Completion, Request, ScheduleReport, UniformStream};
+use crate::scheduler::{Completion, Request, ScheduleReport, SchedulerState, UniformStream};
 
 /// Worst-case per-request prompt length (tokens) assumed by the router's
 /// 1F1B activation-ceiling admission check — the paper mix's Batch class.
@@ -78,11 +78,14 @@ impl std::error::Error for FleetError {}
 /// Point-in-time view of one replica, handed to [`RoutePolicy::route`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplicaSnapshot {
-    /// Requests routed to this replica whose estimated service window is
-    /// still open (admitted-or-queued from the router's point of view).
+    /// Requests the replica holds at the routing time: queued, running,
+    /// and routed but not yet pulled into its queue.
     pub in_flight: usize,
-    /// Live per-rank KV occupancy in `[0, 1]` ([`KvShards::pressure`]);
-    /// invalidated ranks read `1.0`.
+    /// Live per-rank KV occupancy in `[0, 1]` from the replica's own
+    /// admission books ([`SchedulerState::kv_pressure`]): its streaming
+    /// shards under chunked prefill, its residents' reserved tokens over
+    /// capacity otherwise. Ranks dead under the replica's `FaultPlan` at
+    /// the routing time read `1.0`.
     pub pressure: Vec<f64>,
     /// Draining replicas finish assigned work but accept no new traffic.
     pub draining: bool,
@@ -108,15 +111,11 @@ pub trait RoutePolicy: core::fmt::Debug {
     fn route(&mut self, req: &Request, replicas: &[ReplicaSnapshot]) -> usize;
 }
 
-fn active_indices(replicas: &[ReplicaSnapshot]) -> Vec<usize> {
-    let active: Vec<usize> = (0..replicas.len())
-        .filter(|&i| !replicas[i].draining)
-        .collect();
-    if active.is_empty() {
-        (0..replicas.len()).collect()
-    } else {
-        active
-    }
+/// Indices of the replicas taking traffic: the non-draining ones, or every
+/// replica when all are draining.
+fn active_indices(replicas: &[ReplicaSnapshot]) -> impl Iterator<Item = usize> + Clone + '_ {
+    let all = replicas.iter().all(|r| r.draining);
+    (0..replicas.len()).filter(move |&i| all || !replicas[i].draining)
 }
 
 /// Cycle through active replicas in index order, ignoring load entirely.
@@ -150,9 +149,9 @@ impl RoutePolicy for RoundRobin {
 }
 
 /// Send each arrival to the replica whose most-loaded KV rank has the
-/// lowest live pressure — exact, not estimated: the router's books carry
-/// the same whole-lifetime per-rank reservations streaming admission
-/// keeps, so ties in queue depth are broken by actual page occupancy.
+/// lowest live pressure, read off the replicas' own admission books. It
+/// sees admitted KV only: a queue waiting behind a full batch adds no
+/// pressure.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LeastKvPressure;
 
@@ -209,12 +208,13 @@ impl RoutePolicy for SessionAffinity {
 
     fn route(&mut self, req: &Request, replicas: &[ReplicaSnapshot]) -> usize {
         let active = active_indices(replicas);
-        if active.is_empty() {
+        let n = active.clone().count();
+        if n == 0 {
             return 0;
         }
         let tenant = req.tenant.unwrap_or(req.id % self.tenants.max(1));
-        let slot = splitmix64(tenant) as usize % active.len();
-        active[slot]
+        let slot = splitmix64(tenant) as usize % n;
+        active.clone().nth(slot).unwrap_or(0)
     }
 }
 
@@ -255,18 +255,19 @@ impl RoutePolicy for PowerOfTwoChoices {
 
     fn route(&mut self, _req: &Request, replicas: &[ReplicaSnapshot]) -> usize {
         let active = active_indices(replicas);
-        match active.len() {
+        let n = active.clone().count();
+        let nth = |k: usize| active.clone().nth(k).unwrap_or(0);
+        match n {
             0 => return 0,
-            1 => return active[0],
+            1 => return nth(0),
             _ => {}
         }
-        let n = active.len();
         let a = ((self.rng.next() * n as f64) as usize).min(n - 1);
         let mut b = ((self.rng.next() * n as f64) as usize).min(n - 1);
         if b == a {
             b = (a + 1) % n;
         }
-        let (ia, ib) = (active[a], active[b]);
+        let (ia, ib) = (nth(a), nth(b));
         let (qa, qb) = (replicas[ia].in_flight, replicas[ib].in_flight);
         if qa < qb {
             ia
@@ -328,118 +329,66 @@ pub struct AutoscaleEvent {
     pub active_replicas: usize,
 }
 
+/// One replica while the fleet runs: its scheduler, plus the ranks its
+/// `FaultPlan` has killed by the routing time. An idle scheduler applies
+/// due faults only at its next arrival, so routing reads the plan itself.
 #[derive(Debug)]
-struct Replica {
-    engine: ServingEngine,
-    assigned: Vec<Request>,
-    shards: KvShards,
-    /// (estimated completion time, request id, tokens reserved in `shards`)
-    live: Vec<(f64, u64, bool)>,
-    /// Seconds per decode step at the engine's batch cap — each resident
-    /// request retires one output token per step, so a request's service
-    /// window is roughly `prefill + output_len * step_s`.
-    step_s: f64,
-    /// Virtual free time of each of the engine's `max_batch` batch slots.
-    /// A new request starts when the earliest slot frees, so estimated
-    /// completions include queue wait — a backlogged replica keeps
-    /// reading as loaded instead of draining on the wall clock.
-    slots: Vec<f64>,
-    draining: bool,
-    /// Index of the next engine fault event to mirror into the live books.
+struct Replica<'a> {
+    engine: &'a ServingEngine,
+    state: SchedulerState<'a>,
+    /// Ranks dead under the plan at the last routing time.
+    dead: Vec<bool>,
+    /// Next plan event `dead` has not applied.
     fault_cursor: usize,
+    draining: bool,
 }
 
-impl Replica {
-    fn new(engine: ServingEngine) -> Self {
-        let shards = engine.kv_shards();
-        let batch = engine.max_batch() as u64;
-        let key = (engine.step_cache_key(batch), 1024);
-        let (step_ms, _) = engine.step_cost_priced(key, batch, 1024);
-        let slots = vec![0.0; engine.max_batch().max(1)];
+impl<'a> Replica<'a> {
+    fn new(engine: &'a ServingEngine) -> Self {
         Replica {
             engine,
-            assigned: Vec::new(),
-            shards,
-            live: Vec::new(),
-            step_s: (step_ms / 1000.0).max(1e-9),
-            slots,
-            draining: false,
+            state: SchedulerState::new(
+                engine,
+                engine.policy(),
+                engine.max_batch(),
+                engine.fault_plan(),
+                engine.retry_policy(),
+            ),
+            dead: vec![false; engine.cluster().total_ranks()],
             fault_cursor: 0,
+            draining: false,
         }
     }
 
-    /// Release reservations whose estimated service window has closed and
-    /// mirror due fault events into the live books, so routing sees a
-    /// dead rank (pressure `1.0`) the moment its replica's `FaultPlan`
-    /// strikes.
-    fn settle(&mut self, now: f64) {
+    /// Refreshes `snap` with the replica's live state at routing time
+    /// `now`: in-flight depth, per-rank KV pressure from its own books,
+    /// and `1.0` for every rank dead under its plan.
+    fn snapshot_into(&mut self, snap: &mut ReplicaSnapshot, now: f64) {
         let events = self.engine.fault_plan().events();
-        while self.fault_cursor < events.len() && events[self.fault_cursor].at_s <= now {
-            match events[self.fault_cursor].kind {
-                FaultKind::RankFail { rank } => {
-                    self.shards.invalidate_rank(rank);
-                }
-                FaultKind::RankRepair { rank } => {
-                    self.shards.repair_rank(rank);
-                }
+        let ranks = self.dead.len();
+        while let Some(ev) = events.get(self.fault_cursor) {
+            if ev.at_s > now {
+                break;
+            }
+            match ev.kind {
+                FaultKind::RankFail { rank } => self.dead[rank % ranks] = true,
+                FaultKind::RankRepair { rank } => self.dead[rank % ranks] = false,
                 _ => {}
             }
             self.fault_cursor += 1;
         }
-        let mut i = 0;
-        while i < self.live.len() {
-            if self.live[i].0 <= now {
-                let (_, id, reserved) = self.live.swap_remove(i);
-                if reserved {
-                    let _ = self.shards.release(id);
+        snap.in_flight = self.state.in_flight();
+        snap.pressure.clear();
+        let state = &self.state;
+        snap.pressure
+            .extend(self.dead.iter().enumerate().map(|(rank, &dead)| {
+                if dead {
+                    1.0
+                } else {
+                    state.kv_pressure(rank)
                 }
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    fn peak_pressure(&self) -> f64 {
-        self.shards.pressure().iter().fold(0.0, |a, &b| a.max(b))
-    }
-
-    fn snapshot(&self) -> ReplicaSnapshot {
-        ReplicaSnapshot {
-            in_flight: self.live.len(),
-            pressure: self.shards.pressure(),
-            draining: self.draining,
-        }
-    }
-
-    fn assign(&mut self, req: Request, now: f64) {
-        let tokens = req.prompt_len + req.output_len;
-        self.shards.register(req.id);
-        let reserved = self.shards.append(req.id, tokens).is_ok();
-        if !reserved {
-            // Keep the books consistent: drop the empty registration and
-            // track the request by time alone.
-            let _ = self.shards.release(req.id);
-        }
-        // Price the slot's clock with the *admission-path* prefill
-        // estimate: a chunked-prefill replica (default at pp >= 2) only
-        // serializes one chunk of the prompt at admission, so charging
-        // the whole prefill here overestimated in-flight depth and
-        // skewed load-aware routing against pipelined replicas.
-        let service_s = self
-            .engine
-            .admission_prefill_ms(req.prompt_len.max(1), req.priority)
-            / 1000.0
-            + req.output_len as f64 * self.step_s;
-        let mut slot = 0usize;
-        for (i, &free_at) in self.slots.iter().enumerate() {
-            if free_at < self.slots[slot] {
-                slot = i;
-            }
-        }
-        let est_done = self.slots[slot].max(now) + service_s;
-        self.slots[slot] = est_done;
-        self.live.push((est_done, req.id, reserved));
-        self.assigned.push(req);
+            }));
+        snap.draining = self.draining;
     }
 }
 
@@ -451,9 +400,8 @@ impl Replica {
 /// [`FleetRouter::run`].
 #[derive(Debug)]
 pub struct FleetRouter {
-    replicas: Vec<Replica>,
+    engines: Vec<ServingEngine>,
     policy: Box<dyn RoutePolicy>,
-    proto: Option<ServingEngine>,
     shed_at: Option<f64>,
     autoscale: Option<Autoscale>,
     next_scale_s: f64,
@@ -468,9 +416,8 @@ impl FleetRouter {
     /// Boxed-policy variant of [`FleetRouter::new`].
     pub fn new_boxed(policy: Box<dyn RoutePolicy>) -> Self {
         FleetRouter {
-            replicas: Vec::new(),
+            engines: Vec::new(),
             policy,
-            proto: None,
             shed_at: None,
             autoscale: None,
             next_scale_s: 0.0,
@@ -507,10 +454,7 @@ impl FleetRouter {
                 });
             }
         }
-        if self.proto.is_none() {
-            self.proto = Some(engine.clone());
-        }
-        self.replicas.push(Replica::new(engine));
+        self.engines.push(engine);
         Ok(self)
     }
 
@@ -548,30 +492,40 @@ impl FleetRouter {
         self
     }
 
-    /// Replicas currently attached (active + draining).
+    /// Replicas currently attached.
     pub fn replica_count(&self) -> usize {
-        self.replicas.len()
+        self.engines.len()
     }
 
-    fn autoscale_tick(&mut self, now: f64, events: &mut Vec<AutoscaleEvent>) {
+    /// Scale on the mean in-flight depth of the active replicas. A spawned
+    /// replica runs `proto`, the first replica's engine.
+    fn autoscale_tick<'a>(
+        &mut self,
+        now: f64,
+        replicas: &mut Vec<Replica<'a>>,
+        proto: Option<&'a ServingEngine>,
+        events: &mut Vec<AutoscaleEvent>,
+    ) {
         let Some(cfg) = self.autoscale else { return };
         if now < self.next_scale_s {
             return;
         }
-        let active: Vec<usize> = (0..self.replicas.len())
-            .filter(|&i| !self.replicas[i].draining)
+        let active: Vec<usize> = (0..replicas.len())
+            .filter(|&i| !replicas[i].draining)
             .collect();
         if active.is_empty() {
             return;
         }
         let mean = active
             .iter()
-            .map(|&i| self.replicas[i].live.len())
+            .map(|&i| replicas[i].state.in_flight())
             .sum::<usize>() as f64
             / active.len() as f64;
         if mean > cfg.scale_up_in_flight && active.len() < cfg.max_replicas {
-            if let Some(proto) = &self.proto {
-                self.replicas.push(Replica::new(proto.clone()));
+            if let Some(proto) = proto {
+                let mut spawned = Replica::new(proto);
+                spawned.state.step_until(now);
+                replicas.push(spawned);
                 events.push(AutoscaleEvent {
                     at_s: now,
                     direction: ScaleDirection::Up,
@@ -581,7 +535,7 @@ impl FleetRouter {
             }
         } else if mean < cfg.scale_down_in_flight && active.len() > cfg.min_replicas {
             if let Some(&last) = active.last() {
-                self.replicas[last].draining = true;
+                replicas[last].draining = true;
                 events.push(AutoscaleEvent {
                     at_s: now,
                     direction: ScaleDirection::Down,
@@ -592,78 +546,60 @@ impl FleetRouter {
         }
     }
 
-    fn fallback(&self) -> usize {
-        let mut best = 0usize;
-        let mut best_load = usize::MAX;
-        let mut any_active = false;
-        for (idx, r) in self.replicas.iter().enumerate() {
-            if r.draining {
-                continue;
-            }
-            any_active = true;
-            if r.live.len() < best_load {
-                best_load = r.live.len();
-                best = idx;
-            }
-        }
-        if any_active {
-            return best;
-        }
-        // Everything is draining: least-loaded overall keeps the trace
-        // flowing rather than dropping it on the floor.
-        let mut best = 0usize;
-        let mut best_load = usize::MAX;
-        for (idx, r) in self.replicas.iter().enumerate() {
-            if r.live.len() < best_load {
-                best_load = r.live.len();
-                best = idx;
-            }
-        }
-        best
-    }
-
-    /// Route the trace, simulate every replica, and merge the reports.
+    /// Route the trace on one clock, then merge the replicas' reports.
     ///
-    /// `arrivals` must be sorted by `arrival_s` (as produced by
-    /// `ArrivalMix::generate` and `poisson_arrivals`); the router's clock
-    /// never runs backwards regardless.
-    pub fn run(mut self, arrivals: Vec<Request>) -> FleetReport {
+    /// Arrivals are routed in arrival order (a stable sort). Before each
+    /// arrival every replica's scheduler steps to the arrival time, so
+    /// routing, shedding and autoscaling read live state: each replica's
+    /// in-flight depth (queued, running, and routed but not yet pulled)
+    /// and its own KV books. The arrival is then pushed to the chosen
+    /// replica. A replica's report is exactly what it would report serving
+    /// its share of the trace on its own.
+    pub fn run(mut self, mut arrivals: Vec<Request>) -> FleetReport {
+        // A stable sort allocates scratch for the whole trace even when,
+        // as usual, it is sorted already.
+        if !arrivals.is_sorted_by(|a, b| a.arrival_s <= b.arrival_s) {
+            arrivals.sort_by(|a, b| a.arrival_s.partial_cmp(&b.arrival_s).expect("finite"));
+        }
         let route_policy = self.policy.name().to_string();
+        let engines = std::mem::take(&mut self.engines);
+        let mut replicas: Vec<Replica<'_>> = engines.iter().map(Replica::new).collect();
+        let mut snapshots: Vec<ReplicaSnapshot> = Vec::new();
         let mut rejections = Vec::new();
         let mut autoscale_events = Vec::new();
-        let mut now = 0.0f64;
         for req in arrivals {
-            now = now.max(req.arrival_s);
-            for r in &mut self.replicas {
-                r.settle(now);
+            let now = req.arrival_s;
+            for r in &mut replicas {
+                r.state.step_until(now);
             }
-            self.autoscale_tick(now, &mut autoscale_events);
-            if self.replicas.is_empty() {
+            self.autoscale_tick(now, &mut replicas, engines.first(), &mut autoscale_events);
+            if replicas.is_empty() {
                 rejections.push(Rejection {
                     id: req.id,
                     reason: RejectReason::CapacityLost,
                 });
                 continue;
             }
+            snapshots.resize_with(replicas.len(), || ReplicaSnapshot {
+                in_flight: 0,
+                pressure: Vec::new(),
+                draining: false,
+            });
+            for (r, snap) in replicas.iter_mut().zip(&mut snapshots) {
+                r.snapshot_into(snap, now);
+            }
             if let Some(threshold) = self.shed_at {
-                let mut any_fits = false;
-                let mut any_unsaturated = false;
-                for r in self.replicas.iter().filter(|r| !r.draining) {
-                    if req.prompt_len + req.output_len <= r.engine.kv_capacity_tokens() {
-                        any_fits = true;
-                    }
-                    if r.peak_pressure() < threshold {
-                        any_unsaturated = true;
-                    }
-                }
-                if !any_fits {
+                let active = || replicas.iter().zip(&snapshots).filter(|(r, _)| !r.draining);
+                if !active()
+                    .any(|(r, _)| req.prompt_len + req.output_len <= r.engine.kv_capacity_tokens())
+                {
                     rejections.push(Rejection {
                         id: req.id,
                         reason: RejectReason::Oversized,
                     });
                     continue;
                 }
-                if !any_unsaturated {
+                if !active().any(|(_, snap)| snap.peak_pressure() < threshold) {
                     rejections.push(Rejection {
                         id: req.id,
                         reason: RejectReason::BrownoutShed,
@@ -671,19 +607,14 @@ impl FleetRouter {
                     continue;
                 }
             }
-            let snapshots: Vec<ReplicaSnapshot> =
-                self.replicas.iter().map(Replica::snapshot).collect();
             let mut idx = self.policy.route(&req, &snapshots);
-            if idx >= self.replicas.len() || self.replicas[idx].draining {
-                idx = self.fallback();
+            if idx >= replicas.len() || replicas[idx].draining {
+                idx = least_loaded(&snapshots);
             }
-            self.replicas[idx].assign(req, now);
+            replicas[idx].state.push(req);
         }
-        let per_replica: Vec<ScheduleReport> = self
-            .replicas
-            .into_iter()
-            .map(|r| r.engine.serve_online(r.assigned))
-            .collect();
+        let per_replica: Vec<ScheduleReport> =
+            replicas.into_iter().map(|r| r.state.finish()).collect();
         FleetReport {
             per_replica,
             rejections,
@@ -691,6 +622,18 @@ impl FleetRouter {
             route_policy,
         }
     }
+}
+
+/// The active replica with the fewest requests in flight; when everything
+/// is draining, the least-loaded overall, which keeps the trace flowing
+/// rather than dropping it on the floor.
+fn least_loaded(replicas: &[ReplicaSnapshot]) -> usize {
+    let least = |draining_too: bool| {
+        (0..replicas.len())
+            .filter(|&i| draining_too || !replicas[i].draining)
+            .min_by_key(|&i| replicas[i].in_flight)
+    };
+    least(false).or_else(|| least(true)).unwrap_or(0)
 }
 
 /// Merged outcome of a fleet run: per-replica reports plus fleet-level
@@ -959,7 +902,7 @@ mod tests {
         let engine = test_engine();
         let arrivals = ArrivalMix::paper_mix().generate(30.0, 60, 11);
 
-        // Threshold 0.0: everything after the first settle window sheds.
+        // Threshold 0.0: no replica reads below it, so every arrival sheds.
         let shed = FleetRouter::new(RoundRobin::default())
             .with_replicas(&engine, 2)
             .shed_when_saturated(0.0)

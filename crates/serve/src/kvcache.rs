@@ -428,24 +428,23 @@ impl KvShards {
         self.shards[self.first_alive()?].tokens(seq)
     }
 
-    /// Per-rank live occupancy in `[0, 1]`: `1 − free_pages / total_pages`
-    /// for alive ranks, `1.0` for invalidated (or zero-capacity) ranks —
-    /// a dead rank admits nothing, so a router reading pressure steers
-    /// away from it. O(ranks): both page counters are O(1) reads off the
-    /// lazy free-list, which is what makes exact least-KV-pressure
+    /// Live occupancy of rank `idx` in `[0, 1]`: `1 − free_pages /
+    /// total_pages` for an alive rank, `1.0` for an invalidated (or
+    /// zero-capacity) one — a dead rank admits nothing, so a router reading
+    /// pressure steers away from it. O(1): both page counters are reads
+    /// off the lazy free-list, which is what makes least-KV-pressure
     /// routing affordable per arrival.
-    pub fn pressure(&self) -> Vec<f64> {
-        self.shards
-            .iter()
-            .zip(&self.invalidated)
-            .map(|(s, &dead)| {
-                if dead || s.total_pages() == 0 {
-                    1.0
-                } else {
-                    1.0 - s.free_pages() as f64 / s.total_pages() as f64
-                }
-            })
-            .collect()
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    pub fn rank_pressure(&self, idx: usize) -> f64 {
+        let s = &self.shards[idx];
+        if self.invalidated[idx] || s.total_pages() == 0 {
+            1.0
+        } else {
+            1.0 - s.free_pages() as f64 / s.total_pages() as f64
+        }
     }
 }
 
@@ -1025,24 +1024,25 @@ mod tests {
     #[test]
     fn pressure_tracks_reservations_and_faults() {
         // Asymmetric ranks: the small rank's occupancy climbs faster, and
-        // the vector is exactly what a least-KV-pressure router reads.
+        // the values are exactly what a least-KV-pressure router reads.
         let mut s = KvShards::new(vec![cache_with_pages(4), cache_with_pages(8)]);
-        assert_eq!(s.pressure(), vec![0.0, 0.0]);
+        let pressure = |s: &KvShards| [s.rank_pressure(0), s.rank_pressure(1)];
+        assert_eq!(pressure(&s), [0.0, 0.0]);
         s.register(1);
         s.append(1, 2 * PAGE_TOKENS).unwrap(); // 2 pages on each rank
-        assert_eq!(s.pressure(), vec![0.5, 0.25]);
+        assert_eq!(pressure(&s), [0.5, 0.25]);
         // Release drops pressure back to idle.
         s.release(1).unwrap();
-        assert_eq!(s.pressure(), vec![0.0, 0.0]);
+        assert_eq!(pressure(&s), [0.0, 0.0]);
         // A dead rank reads as fully pressured until repaired.
         s.register(2);
         s.append(2, PAGE_TOKENS).unwrap();
         assert!(s.invalidate_rank(0));
-        let p = s.pressure();
+        let p = pressure(&s);
         assert_eq!(p[0], 1.0, "invalidated rank must repel routing");
         assert!((p[1] - 0.125).abs() < 1e-12);
         assert!(s.repair_rank(0));
-        assert_eq!(s.pressure()[0], 0.0, "repaired rank rejoins cold");
+        assert_eq!(s.rank_pressure(0), 0.0, "repaired rank rejoins cold");
     }
 
     fn registry(pages: u64, victim: PrefixVictim) -> PrefixRegistry {
@@ -1115,6 +1115,31 @@ mod tests {
         assert_eq!(r.admit(5, 0xA, 32, 64), 32, "pinned entry survived");
         r.release(3);
         r.release(5);
+    }
+
+    #[test]
+    fn released_hit_unpins_its_entry_for_eviction() {
+        // 2 pages: one 2-page prefix fills the cache.
+        let mut r = registry(2, PrefixVictim::ColdPrefix);
+        r.admit(1, 0xA, 32, 64);
+        assert_eq!(r.admit(2, 0xA, 32, 64), 32);
+        r.release(2);
+        // The released hit left 0xA cold, so a miss that needs its pages
+        // evicts it and caches the new prefix.
+        r.admit(3, 0xB, 32, 64);
+        assert_eq!(r.stats().evictions, 1);
+        assert_eq!(r.admit(4, 0xB, 32, 64), 32, "new prefix cached");
+        r.release(4);
+    }
+
+    #[test]
+    fn hit_counts_a_partial_last_page_as_shared() {
+        // 17 cached tokens span two 16-token pages.
+        let mut r = registry(8, PrefixVictim::ColdPrefix);
+        r.admit(1, 0xA, 17, 64);
+        assert_eq!(r.admit(2, 0xA, 17, 64), 17);
+        assert_eq!(r.stats().pages_shared, 2);
+        r.release(2);
     }
 
     #[test]

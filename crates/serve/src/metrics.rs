@@ -285,6 +285,11 @@ mod tests {
         let ten: Vec<f64> = (1..=10).map(|i| i as f64).collect();
         assert_eq!(percentile(ten.iter().copied(), 0.9), Some(9.0));
         assert_eq!(percentile(ten.iter().copied(), 0.99), Some(10.0));
+        // Ranks whose fraction is below one half, where `.round()` would
+        // read one element low: p30 of four is the 2nd (ceil(1.2) = 2),
+        // p91 of ten the 10th (ceil(9.1) = 10).
+        assert_eq!(percentile([1.0, 2.0, 3.0, 4.0], 0.3), Some(2.0));
+        assert_eq!(percentile(ten.iter().copied(), 0.91), Some(10.0));
         // 200 elements: p99 = 198th, no longer the max.
         let big: Vec<f64> = (1..=200).map(|i| i as f64).collect();
         assert_eq!(percentile(big.iter().copied(), 0.99), Some(198.0));

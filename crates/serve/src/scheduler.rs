@@ -7,6 +7,9 @@
 //! exactly where ZipServ's freed weight memory turns into admission
 //! headroom and lower queueing delay.
 //!
+//! The loop is a resumable [`SchedulerState`], so a fleet can step many
+//! replicas on one clock; [`run_policy_faulted`] runs it over a whole trace.
+//!
 //! Admission order and preemption are delegated to a pluggable
 //! [`SchedulePolicy`](crate::policy::SchedulePolicy); see [`crate::policy`]
 //! for the four in-tree policies and
@@ -458,6 +461,7 @@ pub fn run_policy(
 /// (chunked-prefill mode only — `None` on the legacy path): the live
 /// per-rank KV shards that gate admission page-by-page, plus the
 /// per-request prefill chunk cost.
+#[derive(Debug)]
 struct StreamBooks {
     /// One paged allocator per rank of the `tp × pp` grid. Admission
     /// reserves a request's whole-lifetime KV (`prompt + output`) on every
@@ -503,6 +507,7 @@ impl StreamBooks {
 /// Everything the fault machinery mutates while the scheduler loop runs —
 /// threaded as one bundle so the event applicator and the admission loop
 /// see the same books.
+#[derive(Debug)]
 struct FaultBooks {
     state: FaultState,
     rob: RobustnessStats,
@@ -525,115 +530,1012 @@ impl FaultBooks {
     }
 }
 
-/// Applies every fault event due at or before `now` (plus link-window
-/// expiry), mutating time, the pending/running queues and the robustness
-/// books. Called at the top of each scheduler round and after every time
-/// jump, so no event is skipped over.
-#[allow(clippy::too_many_arguments)]
-fn apply_due_faults(
-    events: &[FaultEvent],
-    next_event: &mut usize,
-    books: &mut FaultBooks,
-    stream: &mut Option<StreamBooks>,
-    registry: &mut Option<PrefixRegistry>,
-    retry: &RetryPolicy,
-    engine: &ServingEngine,
-    now: &mut f64,
-    pending: &mut Vec<QueuedRequest>,
-    running: &mut Vec<RunningRequest>,
-    rejections: &mut Vec<Rejection>,
-) {
-    // Link windows expire by time, not by a plan event.
-    if books.state.link_factor != 1.0 && *now >= books.state.link_until {
-        books.state.link_factor = 1.0;
+/// Where a paused [`SchedulerState`] picks up again.
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    /// Top of a scheduler round: apply due faults, then admit.
+    Round,
+    /// Top of one admission pass: idle jump, arrival pull, policy pick.
+    Admit,
+    /// The engine is idle and the policy holds admission: the pass waits
+    /// for whatever ends the hold first.
+    Hold,
+    /// Part-way through a decode fast-forward.
+    FastForward(FastForward),
+}
+
+/// A decode fast-forward in progress: the repeated step's cached cost, how
+/// many more rounds it may skip, and how many it has skipped so far (they
+/// are credited to the residents when the skip ends).
+#[derive(Debug, Clone, Copy)]
+struct FastForward {
+    rounds_left: u64,
+    skipped: u64,
+    /// Residents, all decoding.
+    batch: u64,
+    /// A full batch admits nothing, so no arrival ends the skip.
+    batch_full: bool,
+    ms: f64,
+    comm_ms: f64,
+}
+
+/// How one admission pass ended.
+enum Pass {
+    /// Run another pass.
+    Again,
+    /// Admission is over for this round.
+    Over,
+    /// The pass needs an arrival not pushed yet; resume at this phase.
+    Pause(Phase),
+}
+
+/// The continuous-batching scheduler as a resumable state machine.
+///
+/// Feed it requests with [`SchedulerState::push`], in arrival order, and
+/// read its report from [`SchedulerState::finish`]. In between,
+/// [`SchedulerState::step_until`]`(t)` runs the loop as far as it can go
+/// on the promise that no later push arrives before `t`. The state pauses
+/// only where the loop reads arrivals — the admission pull, the idle jump
+/// to the next arrival, the hold's wake-up and the decode fast-forward's
+/// bound — when the answer depends on a push still to come, and resumes
+/// exactly there. A paused fast-forward continues without re-running a
+/// round. So the report never depends on how the arrivals were fed:
+/// pushing a whole trace and finishing ([`run_policy_faulted`]) and
+/// stepping to each arrival before pushing it (the lockstep fleet of
+/// [`crate::fleet::FleetRouter`]) give bit-identical reports.
+///
+/// See [`run_policy_faulted`] for what one round does.
+#[derive(Debug)]
+pub struct SchedulerState<'a> {
+    engine: &'a ServingEngine,
+    policy: &'a dyn SchedulePolicy,
+    max_batch: usize,
+    events: &'a [FaultEvent],
+    retry: &'a RetryPolicy,
+    /// An empty fault plan: every fault branch is skipped.
+    clean: bool,
+    capacity: u64,
+    next_event: usize,
+    books: FaultBooks,
+    /// Chunked-prefill mode (default at pp ≥ 2, or forced via
+    /// `EngineBuilder::chunked_prefill`): fresh prefills stream through
+    /// the pipeline in per-stage chunks between decode steps, and
+    /// admission is gated by the *live* per-rank KV shards instead of the
+    /// scalar capacity alone. `None` pins the legacy whole-prefill
+    /// arithmetic bit-for-bit.
+    stream: Option<StreamBooks>,
+    /// Prefix caching (opt-in via `EngineBuilder::prefix_caching`): the
+    /// registry interns shared-prefix hashes on its own overlay shards and
+    /// forks them copy-on-write on hit, so admission charges prefill for
+    /// the unshared suffix only. `None` — the default — touches no legacy
+    /// code path, keeping caching-off runs bit-identical.
+    registry: Option<PrefixRegistry>,
+    /// Pushed requests not pulled into `pending` yet, in arrival order.
+    arrivals: VecDeque<Request>,
+    /// Ids of every pushed request, for the debug-build exactly-once check.
+    #[cfg(debug_assertions)]
+    pushed: Vec<u64>,
+    /// No push still to come arrives before this time; `INFINITY` once the
+    /// run is finishing and no push will come at all.
+    horizon: f64,
+    /// Arrived requests waiting for admission, in arrival order.
+    pending: Vec<QueuedRequest>,
+    running: Vec<RunningRequest>,
+    completions: Vec<Completion>,
+    rejections: Vec<Rejection>,
+    now: f64,
+    peak_batch: usize,
+    output_tokens: u64,
+    preemptions: u64,
+    comm_s: f64,
+    /// Step times cached per (step-shape key, context bucket): (total ms,
+    /// comm ms). The key is `engine.step_cache_key(batch)` — the raw batch
+    /// on single-stage engines, the micro-batch shape on pipelined ones,
+    /// where distinct batches collapse onto identical step costs (keying
+    /// on the raw batch defeated the cache there: every batch size was a
+    /// fresh miss pricing a shape already priced). The cached pair is
+    /// fault-independent — degradation scales it *after* the lookup — so
+    /// the key needs no fault epoch.
+    step_cache: HashMap<(u64, u64), (f64, f64)>,
+    cache_stats: StepCacheStats,
+    /// Last clock reading, for the debug-build monotonicity check.
+    #[cfg(debug_assertions)]
+    last_now: f64,
+    phase: Phase,
+}
+
+impl<'a> SchedulerState<'a> {
+    /// An idle scheduler at time 0 with nothing pushed yet.
+    pub fn new(
+        engine: &'a ServingEngine,
+        policy: &'a dyn SchedulePolicy,
+        max_batch: usize,
+        plan: &'a FaultPlan,
+        retry: &'a RetryPolicy,
+    ) -> Self {
+        let stream = engine.chunked_prefill().then(|| StreamBooks {
+            shards: engine.kv_shards(),
+            chunk_cost: HashMap::new(),
+            n_chunks: engine.cluster().pp().max(1),
+        });
+        let registry = engine
+            .prefix_caching()
+            .then(|| PrefixRegistry::new(engine.kv_shards(), policy.prefix_victim()));
+        SchedulerState {
+            engine,
+            policy,
+            max_batch,
+            events: plan.events(),
+            retry,
+            clean: plan.is_empty(),
+            capacity: engine.kv_capacity_tokens(),
+            next_event: 0,
+            books: FaultBooks {
+                state: FaultState::new(engine.cluster().total_ranks()),
+                rob: RobustnessStats::default(),
+                victims_outstanding: HashSet::new(),
+                recover_started: None,
+            },
+            stream,
+            registry,
+            arrivals: VecDeque::new(),
+            #[cfg(debug_assertions)]
+            pushed: Vec::new(),
+            horizon: f64::NEG_INFINITY,
+            pending: Vec::new(),
+            running: Vec::new(),
+            completions: Vec::new(),
+            rejections: Vec::new(),
+            now: 0.0,
+            peak_batch: 0,
+            output_tokens: 0,
+            preemptions: 0,
+            comm_s: 0.0,
+            step_cache: HashMap::new(),
+            cache_stats: StepCacheStats::default(),
+            #[cfg(debug_assertions)]
+            last_now: 0.0,
+            phase: Phase::Round,
+        }
     }
-    while *next_event < events.len() && events[*next_event].at_s <= *now {
-        let ev = events[*next_event];
-        *next_event += 1;
-        books.rob.faults_injected += 1;
-        match ev.kind {
-            FaultKind::RankFail { rank } => {
-                let rank = rank % books.state.total_ranks;
-                if !books.state.dead.insert(rank) {
-                    continue; // already dead
-                }
-                if books.state.dead.len() == 1 {
-                    books.state.degraded_since = *now;
-                }
-                books.rob.rank_failures += 1;
-                if let Some(s) = stream.as_mut() {
-                    s.shards.invalidate_rank(rank);
-                }
-                if let Some(reg) = registry.as_mut() {
-                    reg.invalidate_rank(rank);
-                }
-                // KV shards mirror every sequence across all ranks, so one
-                // dead rank invalidates the whole batch's KV: every running
-                // request is victimized for recompute-prefill (bounded by
-                // the retry cap), never silently continued on garbage.
-                for victim in running.drain(..) {
-                    if let Some(s) = stream.as_mut() {
-                        s.unreserve(victim.req.id);
+
+    /// Hands the scheduler its next arrival.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless pushes come in arrival order, none earlier than the
+    /// last [`SchedulerState::step_until`] time, with finite times.
+    pub fn push(&mut self, req: Request) {
+        let earliest = self
+            .arrivals
+            .back()
+            .map_or(self.horizon, |r| r.arrival_s.max(self.horizon));
+        assert!(
+            req.arrival_s >= earliest && req.arrival_s.is_finite(),
+            "push out of arrival order: {} after {earliest}",
+            req.arrival_s
+        );
+        #[cfg(debug_assertions)]
+        self.pushed.push(req.id);
+        self.arrivals.push_back(req);
+    }
+
+    /// Runs the loop as far as it can go on the promise that no later push
+    /// arrives before `t`. The clock may end past `t` (a prefill or stall
+    /// spans it) or before it (the engine idles, or waits for arrivals
+    /// that may come at `t`).
+    pub fn step_until(&mut self, t: f64) {
+        self.horizon = self.horizon.max(t);
+        self.advance();
+    }
+
+    /// Runs every pushed request to completion (or a typed rejection) and
+    /// returns the run's report.
+    pub fn finish(mut self) -> ScheduleReport {
+        self.horizon = f64::INFINITY;
+        self.advance();
+
+        #[cfg(debug_assertions)]
+        {
+            let mut resolved: Vec<u64> = self
+                .completions
+                .iter()
+                .map(|c| c.id)
+                .chain(self.rejections.iter().map(|r| r.id))
+                .collect();
+            resolved.sort_unstable();
+            self.pushed.sort_unstable();
+            assert_eq!(resolved, self.pushed, "every arrival resolves exactly once");
+        }
+
+        let mut rob = self.books.rob;
+        if !self.clean {
+            // Close the books: a run can end while degraded or with a
+            // recovery window still open (every victim rejected late in
+            // the run).
+            if !self.books.state.dead.is_empty() {
+                rob.downtime_s += self.now - self.books.state.degraded_since;
+            }
+            if let Some(t0) = self.books.recover_started.take() {
+                rob.time_to_recover_s += self.now - t0;
+                rob.recoveries += 1;
+            }
+        }
+        finish_report(
+            self.policy.name(),
+            self.now,
+            self.output_tokens,
+            self.peak_batch,
+            self.comm_s,
+            self.preemptions,
+            self.rejections,
+            rob,
+            self.cache_stats,
+            self.registry.map(|r| r.stats()).unwrap_or_default(),
+            self.completions,
+        )
+    }
+
+    /// Requests the scheduler holds: queued, running, and pushed but not
+    /// yet pulled into the queue.
+    pub fn in_flight(&self) -> usize {
+        self.pending.len() + self.running.len() + self.arrivals.len()
+    }
+
+    /// Live KV occupancy of `rank` in `[0, 1]`, read off the books
+    /// admission keeps: the streaming shards' page occupancy under chunked
+    /// prefill (an invalidated rank reads `1.0`), and otherwise the
+    /// residents' whole-lifetime token reservations over the deployment's
+    /// capacity, the same for every rank.
+    pub fn kv_pressure(&self, rank: usize) -> f64 {
+        match &self.stream {
+            Some(s) => s.shards.rank_pressure(rank),
+            None if self.capacity == 0 => 1.0,
+            None => {
+                let reserved: u64 = self
+                    .running
+                    .iter()
+                    .map(|f| f.req.prompt_len + f.req.output_len)
+                    .sum();
+                reserved as f64 / self.capacity as f64
+            }
+        }
+    }
+
+    /// Runs the loop from where it paused until it pauses again or ends.
+    fn advance(&mut self) {
+        loop {
+            self.phase = match self.phase {
+                Phase::Round => {
+                    // Idle with nothing pushed: done, or waiting for a push.
+                    if self.pending.is_empty()
+                        && self.running.is_empty()
+                        && self.arrivals.is_empty()
+                    {
+                        return;
                     }
-                    let retries = victim.retries + 1;
-                    if retries > retry.max_retries {
-                        rejections.push(Rejection {
-                            id: victim.req.id,
-                            reason: RejectReason::RetriesExhausted,
-                        });
-                        if let Some(reg) = registry.as_mut() {
-                            reg.release(victim.req.id);
+                    self.faults_due();
+                    self.assert_clock_monotone();
+                    Phase::Admit
+                }
+                Phase::Admit | Phase::Hold => {
+                    let mut hold = matches!(self.phase, Phase::Hold);
+                    loop {
+                        let pass = if std::mem::take(&mut hold) {
+                            self.hold()
+                        } else {
+                            self.admit_pass()
+                        };
+                        match pass {
+                            Pass::Again => {}
+                            Pass::Over => break,
+                            Pass::Pause(at) => {
+                                self.phase = at;
+                                return;
+                            }
                         }
-                        books.resolve_victim(victim.req.id, *now);
-                        continue;
                     }
-                    books.rob.retries += 1;
-                    books.victims_outstanding.insert(victim.req.id);
-                    let back = QueuedRequest {
-                        req: victim.req,
-                        resume_generated: victim.generated,
-                        preemptions: victim.preemptions,
-                        first_admitted_s: Some(victim.first_admitted_s),
-                        first_token_s: victim.first_token_s,
-                        retries,
-                        not_before_s: *now + retry.delay_s(retries),
-                    };
-                    let pos = pending.partition_point(|p| p.req.arrival_s <= back.req.arrival_s);
-                    pending.insert(pos, back);
+                    self.decode_round().map_or(Phase::Round, Phase::FastForward)
                 }
-                if !books.victims_outstanding.is_empty() && books.recover_started.is_none() {
-                    books.recover_started = Some(*now);
+                Phase::FastForward(ff) => match self.fast_forward(ff) {
+                    Some(rest) => {
+                        self.phase = Phase::FastForward(rest);
+                        return;
+                    }
+                    None => Phase::Round,
+                },
+            };
+        }
+    }
+
+    fn assert_clock_monotone(&mut self) {
+        #[cfg(debug_assertions)]
+        {
+            assert!(
+                self.now >= self.last_now,
+                "clock ran backwards: {} -> {}",
+                self.last_now,
+                self.now
+            );
+            self.last_now = self.now;
+        }
+    }
+
+    /// One pass of the admission loop: while capacity and the batch cap
+    /// allow, the policy picks the next arrived request; a pick that does
+    /// not fit may evict policy-chosen victims.
+    fn admit_pass(&mut self) -> Pass {
+        if self.pending.is_empty() {
+            match self.arrivals.front() {
+                None if self.horizon == f64::INFINITY => return Pass::Over,
+                // Whether anything else arrives matters only to an idle
+                // engine, which would jump to it, or once the clock has
+                // reached the horizon, when it may have arrived by now.
+                None if !self.running.is_empty() && self.now < self.horizon => return Pass::Over,
+                None => return Pass::Pause(Phase::Admit),
+                Some(next) if self.running.is_empty() && next.arrival_s > self.now => {
+                    // Idle: jump to the next arrival.
+                    self.now = next.arrival_s;
+                    self.faults_due();
                 }
+                Some(_) => {}
             }
-            FaultKind::RankRepair { rank } => {
-                let rank = rank % books.state.total_ranks;
+        }
+        // Every queued request arrived before any unpulled one, so
+        // appending keeps `pending` in arrival order.
+        while let Some(next) = self.arrivals.front() {
+            if next.arrival_s > self.now {
+                break;
+            }
+            self.pending.push(QueuedRequest::fresh(*next));
+            self.arrivals.pop_front();
+        }
+        if self.arrivals.is_empty() && self.now >= self.horizon {
+            // A push still to come may have arrived by now.
+            return Pass::Pause(Phase::Admit);
+        }
+        if self.pending.is_empty() || self.running.len() >= self.max_batch {
+            return Pass::Over;
+        }
+        // Streaming admission is paced: at most one prefilling resident
+        // per chunk slot. Without the cap the loop admits the whole queue
+        // the moment it arrives (admission itself costs no time under
+        // chunked prefill), and the eagerly-reserved KV of low-priority
+        // residents blocks late interactive arrivals — the exact tail
+        // chunked prefill is meant to cut. Held admissions stay in
+        // `pending`, where the policy keeps reordering them as chunks
+        // drain.
+        if self.stream.is_some()
+            && self.running.iter().filter(|f| f.is_prefilling()).count()
+                >= self.engine.micro_batches().max(1) as usize
+        {
+            return Pass::Over;
+        }
+        // Backoff gating: fault victims waiting out their backoff are
+        // invisible to the policy until `not_before_s`. While every queued
+        // request is eligible (always, on the clean path, where every
+        // `not_before_s` is 0) the view is the plain arrived queue.
+        let picked = if self.clean || self.pending.iter().all(|p| p.not_before_s <= self.now) {
+            self.policy.select(&self.pending, &self.running, self.now)
+        } else {
+            let eligible: Vec<usize> = (0..self.pending.len())
+                .filter(|&i| self.pending[i].not_before_s <= self.now)
+                .collect();
+            let view: Vec<QueuedRequest> = eligible.iter().map(|&i| self.pending[i]).collect();
+            self.policy
+                .select(&view, &self.running, self.now)
+                .map(|vi| {
+                    assert!(vi < view.len(), "policy selected an unarrived request");
+                    eligible[vi]
+                })
+        };
+        let Some(pick) = picked else {
+            return if self.running.is_empty() {
+                self.hold()
+            } else {
+                Pass::Over
+            };
+        };
+        assert!(
+            pick < self.pending.len(),
+            "policy selected an unarrived request"
+        );
+        let cand = self.pending[pick];
+
+        // A request whose lifetime KV demand exceeds capacity can never
+        // run: reject it up front, before it evicts innocent victims.
+        // Judged against *full* capacity — a degraded deployment may
+        // recover, so the verdict must not depend on the fault state.
+        if cand.req.prompt_len + cand.req.output_len > self.capacity {
+            self.rejections.push(Rejection {
+                id: cand.req.id,
+                reason: RejectReason::Oversized,
+            });
+            self.pending.remove(pick);
+            if !self.clean {
+                self.books.resolve_victim(cand.req.id, self.now);
+            }
+            return Pass::Again;
+        }
+
+        // SLO-aware brownout: while a rank is down, fresh best-effort
+        // (Batch-class) arrivals are shed so the degraded capacity serves
+        // SLO-carrying traffic; fault victims keep their retry path
+        // regardless of class.
+        if !self.clean
+            && !self.books.state.dead.is_empty()
+            && cand.retries == 0
+            && cand.req.priority == PriorityClass::Batch
+        {
+            self.rejections.push(Rejection {
+                id: cand.req.id,
+                reason: RejectReason::BrownoutShed,
+            });
+            self.books.rob.shed += 1;
+            self.pending.remove(pick);
+            return Pass::Again;
+        }
+
+        // Capacity re-planned around dead ranks (integer scaling; full
+        // capacity — the same u64 — while every rank is alive).
+        let cap_now = if self.clean || self.books.state.dead.is_empty() {
+            self.capacity
+        } else {
+            self.books.state.scaled_capacity(self.capacity)
+        };
+
+        // Preempt victims until the candidate fits or the policy (or the
+        // per-request cap, as a backstop for custom policies that name a
+        // pinned victim) refuses. Each eviction re-inserts the victim into
+        // `pending` by arrival, so the candidate's index is tracked through
+        // the insertions rather than re-located.
+        let mut cand_idx = pick;
+        let mut evictions_left = self.running.len();
+        let mut reserved = false;
+        while !self.fits(&cand, cap_now, &mut reserved) && evictions_left > 0 {
+            let Some(vi) = self.policy.victim(&cand, &self.running, self.now) else {
+                break;
+            };
+            if self.running[vi].preemptions >= MAX_PREEMPTIONS {
+                break;
+            }
+            let victim = self.running.remove(vi);
+            if let Some(s) = self.stream.as_mut() {
+                s.unreserve(victim.req.id);
+            }
+            self.preemptions += 1;
+            // Page-out preemption pays the host-bound PCIe transfer at
+            // eviction time — the victim's pages must land in host memory
+            // before the candidate can take them, delaying the whole engine
+            // *now*. The matching page-in is charged when the victim
+            // resumes. (The pre-split accounting lumped both transfers at
+            // resume, understating the eviction-side stall; pinned by
+            // `pageout_is_charged_at_both_ends`.)
+            if self.policy.preemption_mode() == PreemptionMode::PageOut {
+                self.now += self.engine.kv_swap_s(victim.kv_tokens());
+            }
+            let back = QueuedRequest {
+                req: victim.req,
+                resume_generated: victim.generated,
+                preemptions: victim.preemptions + 1,
+                first_admitted_s: Some(victim.first_admitted_s),
+                first_token_s: victim.first_token_s,
+                retries: victim.retries,
+                not_before_s: 0.0,
+            };
+            let pos = self
+                .pending
+                .partition_point(|p| p.req.arrival_s <= back.req.arrival_s);
+            self.pending.insert(pos, back);
+            if pos <= cand_idx {
+                cand_idx += 1;
+            }
+            evictions_left -= 1;
+        }
+
+        if !self.fits(&cand, cap_now, &mut reserved) {
+            return self.refuse(cand, cand_idx, reserved);
+        }
+        self.admit(cand_idx, cand);
+        Pass::Again
+    }
+
+    /// Whether `cand` fits the batch: the scalar whole-lifetime KV demand
+    /// against `cap_now`, then — in streaming mode — real pages on every
+    /// alive rank. The page reservation is sticky: once taken it is kept
+    /// across further checks, and released only if the candidate
+    /// ultimately fails to admit.
+    fn fits(&mut self, cand: &QueuedRequest, cap_now: u64, reserved: &mut bool) -> bool {
+        let demand = self
+            .running
+            .iter()
+            .map(|f| f.req.prompt_len + f.req.output_len)
+            .sum::<u64>()
+            + cand.req.prompt_len
+            + cand.req.output_len;
+        if demand > cap_now {
+            false
+        } else if let Some(s) = self.stream.as_mut() {
+            if !*reserved {
+                *reserved = s.try_reserve(cand);
+            }
+            *reserved
+        } else {
+            true
+        }
+    }
+
+    /// The policy's pick does not fit even after preemption.
+    fn refuse(&mut self, cand: QueuedRequest, cand_idx: usize, reserved: bool) -> Pass {
+        // A stranded reservation (scalar gate failed after the shards
+        // accepted) must be handed back before the hold.
+        if reserved {
+            if let Some(s) = self.stream.as_mut() {
+                s.unreserve(cand.req.id);
+            }
+        }
+        if self.stream.is_some() && self.clean && self.running.is_empty() {
+            // A lone non-oversized candidate always fits empty shards on a
+            // clean deployment (the scalar capacity is the min over
+            // per-rank shard capacities), so this is unreachable — but a
+            // silent hold here would spin forever, so shed with a typed
+            // rejection instead.
+            debug_assert!(false, "lone candidate refused by empty shards");
+            self.reject(cand.req.id, RejectReason::CapacityLost);
+            self.pending.remove(cand_idx);
+            return Pass::Again;
+        }
+        if !self.clean && self.running.is_empty() {
+            // Degraded capacity cannot hold even a lone candidate that fits
+            // the healthy deployment. Wait for the next fault event (a
+            // repair restores capacity); with none left, the capacity is
+            // gone for good — typed rejection, not an infinite stall.
+            if let Some(ev) = self.events.get(self.next_event) {
+                self.now = self.now.max(ev.at_s);
+                self.faults_due();
+            } else {
+                self.reject(cand.req.id, RejectReason::CapacityLost);
+                self.pending.remove(cand_idx);
+                self.books.resolve_victim(cand.req.id, self.now);
+            }
+            return Pass::Again;
+        }
+        // The candidate fits an empty batch (oversized requests were
+        // rejected above), so this hold always ends as completions or
+        // further preemptions free KV.
+        Pass::Over
+    }
+
+    /// Rejects a queued request, releasing its prefix-cache pin.
+    fn reject(&mut self, id: u64, reason: RejectReason) {
+        self.rejections.push(Rejection { id, reason });
+        if let Some(reg) = self.registry.as_mut() {
+            reg.release(id);
+        }
+    }
+
+    /// Admits `pending[cand_idx]`: fresh requests pay prefill; resumed
+    /// requests pay the policy's preferred KV recovery. Fault victims
+    /// *always* recompute — the failed rank's shard is gone, so there is
+    /// nothing to page back in.
+    fn admit(&mut self, cand_idx: usize, cand: QueuedRequest) {
+        debug_assert_eq!(self.pending[cand_idx], cand, "candidate index tracked");
+        let q = self.pending.remove(cand_idx);
+        if !self.clean {
+            self.books.resolve_victim(q.req.id, self.now);
+        }
+        // Prefix-cache lookup: a fresh prefill that declares a shared
+        // prefix may fork the cached copy and prefill only the suffix.
+        // Fault-retry recomputes stay full-price — the dead rank's KV
+        // (cached prefixes included) is gone.
+        let mut prefix_saved = 0u64;
+        if let Some(reg) = self.registry.as_mut() {
+            if q.resume_generated == 0 && (self.clean || q.retries == 0) {
+                prefix_saved = reg.admit(
+                    q.req.id,
+                    q.req.prefix_hash,
+                    q.req.prefix_len,
+                    q.req.prompt_len,
+                );
+            }
+        }
+        let engine = self.engine;
+        let mut cost = if !self.clean && q.retries > 0 {
+            self.books.rob.recomputed_tokens += q.kv_tokens_on_admit();
+            engine.prefill_ms(1, q.kv_tokens_on_admit()) / 1e3
+        } else if q.resume_generated == 0 {
+            engine.prefill_ms(1, q.req.prompt_len.saturating_sub(prefix_saved).max(1)) / 1e3
+        } else {
+            match self.policy.preemption_mode() {
+                PreemptionMode::Recompute => engine.prefill_ms(1, q.kv_tokens_on_admit()) / 1e3,
+                // Page-in only: the outbound transfer was charged when this
+                // request was evicted.
+                PreemptionMode::PageOut => engine.kv_swap_s(q.kv_tokens_on_admit()),
+            }
+        };
+        if !self.clean && !self.books.state.dead.is_empty() {
+            cost *= self.books.state.compute_slowdown();
+        }
+        // Streaming mode defers a *fresh* prefill: instead of charging the
+        // whole cost serially at admission, the request enters the batch
+        // still prefilling and pays `cost / n_chunks` per chunk as chunks
+        // ride the pipeline's micro-batch slots between decode steps.
+        // Resumes (page-in, recompute) stay serial — they rebuild KV, they
+        // don't stream the prompt through the stages. Classes opted out via
+        // `EngineBuilder::whole_prefill_for` also stay serial: their
+        // prompts take the legacy admission charge while the rest of the
+        // traffic keeps chunking.
+        let mut chunks_left = 0u32;
+        match self.stream.as_mut() {
+            Some(s) if q.resume_generated == 0 && !engine.whole_prefill_for(q.req.priority) => {
+                chunks_left = s.n_chunks;
+                s.chunk_cost.insert(q.req.id, cost / f64::from(s.n_chunks));
+            }
+            _ => self.now += cost,
+        }
+        self.running.push(RunningRequest {
+            req: q.req,
+            admitted_s: self.now,
+            generated: q.resume_generated,
+            preemptions: q.preemptions,
+            first_admitted_s: q.first_admitted_s.unwrap_or(self.now),
+            first_token_s: q.first_token_s,
+            retries: q.retries,
+            prefill_chunks_left: chunks_left,
+        });
+    }
+
+    /// The engine is idle and the policy holds admission (or every
+    /// eligible request is waiting out a backoff): jump to whatever ends
+    /// the hold first — the next arrival, the earliest backoff expiry, or
+    /// the next fault event (a repair can end a brownout).
+    fn hold(&mut self) -> Pass {
+        let mut wake = self.arrivals.front().map(|r| r.arrival_s);
+        if !self.clean {
+            let backoff = self
+                .pending
+                .iter()
+                .map(|p| p.not_before_s)
+                .filter(|&t| t > self.now)
+                .fold(f64::INFINITY, f64::min);
+            if backoff.is_finite() {
+                wake = Some(wake.map_or(backoff, |w| w.min(backoff)));
+            }
+            if let Some(ev) = self.events.get(self.next_event) {
+                wake = Some(wake.map_or(ev.at_s, |w| w.min(ev.at_s)));
+            }
+        }
+        // With nothing pushed ahead, a push still to come (at or after the
+        // horizon) may end the hold first.
+        if self.horizon < f64::INFINITY
+            && self.arrivals.is_empty()
+            && !wake.is_some_and(|t| t <= self.horizon)
+        {
+            return Pass::Pause(Phase::Hold);
+        }
+        if let Some(t) = wake {
+            self.now = self.now.max(t);
+            self.faults_due();
+            return Pass::Again;
+        }
+        // Nothing will ever wake the engine again: the policy held
+        // admission with no future arrival, backoff or fault left. Shed the
+        // queue with a typed rejection instead of panicking or spinning
+        // forever.
+        for q in std::mem::take(&mut self.pending) {
+            self.reject(q.req.id, RejectReason::PolicyHold);
+            if !self.clean {
+                self.books.resolve_victim(q.req.id, self.now);
+            }
+        }
+        Pass::Over
+    }
+
+    /// The rest of a round after admission: prefill chunks, one decode
+    /// step and retirement. Returns the fast-forward the round opens, if
+    /// any.
+    fn decode_round(&mut self) -> Option<FastForward> {
+        self.peak_batch = self.peak_batch.max(self.running.len());
+        if self.running.is_empty() {
+            return None;
+        }
+
+        // Chunked prefill: between decode steps, up to `micro_batches`
+        // prefill chunks ride the pipeline's micro-batch slots, most urgent
+        // resident first (priority class, then earliest arrival). Chunk
+        // granularity is the TTFT win — an interactive prompt's chunks
+        // overtake a long batch prompt mid-prefill instead of queueing
+        // behind its whole prefill.
+        if let Some(s) = self.stream.as_ref() {
+            for _ in 0..self.engine.micro_batches().max(1) {
+                let Some(next) = self
+                    .running
+                    .iter_mut()
+                    .filter(|f| f.is_prefilling())
+                    .max_by(|a, b| {
+                        a.req
+                            .priority
+                            .rank()
+                            .cmp(&b.req.priority.rank())
+                            .then_with(|| {
+                                b.req
+                                    .arrival_s
+                                    .partial_cmp(&a.req.arrival_s)
+                                    .expect("finite")
+                            })
+                            .then_with(|| b.req.id.cmp(&a.req.id))
+                    })
+                else {
+                    break;
+                };
+                next.prefill_chunks_left -= 1;
+                self.now += *s
+                    .chunk_cost
+                    .get(&next.req.id)
+                    .expect("streaming resident has a chunk cost");
+            }
+        }
+
+        // One decode step for the batch's decode-ready subset (residents
+        // still mid-prefill occupy KV but don't decode yet; on the legacy
+        // path every resident has zero chunks left, so the filter is the
+        // identity and the arithmetic below is bit-for-bit the old loop).
+        let batch = self.running.iter().filter(|f| !f.is_prefilling()).count() as u64;
+        if batch == 0 {
+            // Whole batch still prefilling: chunks advanced time above, so
+            // the loop makes progress without a decode step.
+            return None;
+        }
+        let mean_context: u64 = self
+            .running
+            .iter()
+            .filter(|f| !f.is_prefilling())
+            .map(|f| f.req.prompt_len + f.generated)
+            .sum::<u64>()
+            / batch;
+        let bucket = (mean_context / 256).max(1) * 256;
+        let key = (self.engine.step_cache_key(batch), bucket);
+        let (ms, comm_ms) = match self.step_cache.get(&key) {
+            Some(&priced) => {
+                self.cache_stats.hits += 1;
+                priced
+            }
+            None => {
+                self.cache_stats.misses += 1;
+                let priced = self.engine.step_cost_priced(key, batch, bucket);
+                self.step_cache.insert(key, priced);
+                priced
+            }
+        };
+        let fault_clean = self.clean || self.books.state.is_clean();
+        if fault_clean {
+            self.now += ms / 1e3;
+            self.comm_s += comm_ms / 1e3;
+        } else {
+            // Survivors absorb the dead ranks' compute; the communication
+            // share stretches by the degraded-link factor (same model as
+            // `parallel::allreduce_us_degraded`).
+            let state = &self.books.state;
+            let slow = if state.dead.is_empty() {
+                1.0
+            } else {
+                state.compute_slowdown()
+            };
+            let eff_ms = (ms - comm_ms) * slow + comm_ms * state.link_factor;
+            self.now += eff_ms / 1e3;
+            self.comm_s += comm_ms * state.link_factor / 1e3;
+        }
+        self.output_tokens += batch;
+
+        // Advance and retire (decode-ready residents only; identity filter
+        // on the legacy path).
+        let now = self.now;
+        for f in self.running.iter_mut().filter(|f| !f.is_prefilling()) {
+            f.generated += 1;
+            if f.first_token_s.is_none() {
+                f.first_token_s = Some(now);
+            }
+        }
+        let (stream, registry, completions) =
+            (&mut self.stream, &mut self.registry, &mut self.completions);
+        self.running.retain(|f| {
+            if !f.is_prefilling() && f.generated >= f.req.output_len {
                 if let Some(s) = stream.as_mut() {
-                    s.shards.repair_rank(rank);
+                    s.unreserve(f.req.id);
                 }
                 if let Some(reg) = registry.as_mut() {
-                    reg.repair_rank(rank);
+                    reg.release(f.req.id);
                 }
-                if books.state.dead.remove(&rank) && books.state.dead.is_empty() {
-                    books.rob.downtime_s += *now - books.state.degraded_since;
+                completions.push(complete(f, now));
+                false
+            } else {
+                true
+            }
+        });
+
+        // Decode fast-forward. While the batch is unchanged (nobody
+        // finished or is prefilling) and the fault state is clean, the next
+        // round only repeats this decode step, priced from the same cache
+        // entry, as long as it admits nothing and finds no fault event due.
+        // Such rounds are skipped, bounded by the first completion (that
+        // round runs in full) and by the last round whose mean context,
+        // rising one per round, stays in this bucket. A full batch admits
+        // nothing, whatever has arrived.
+        let batch_full = self.running.len() >= self.max_batch;
+        if self.running.len() as u64 != batch
+            || self.running.iter().any(RunningRequest::is_prefilling)
+            || !fault_clean
+            || !(batch_full || self.pending.is_empty())
+        {
+            return None;
+        }
+        let to_first_completion = self
+            .running
+            .iter()
+            .map(RunningRequest::remaining_output)
+            .min()
+            .unwrap_or(0);
+        let rounds_left = to_first_completion
+            .saturating_sub(1)
+            .min(bucket + 255 - mean_context);
+        (rounds_left > 0).then_some(FastForward {
+            rounds_left,
+            skipped: 0,
+            batch,
+            batch_full,
+            ms,
+            comm_ms,
+        })
+    }
+
+    /// Skips rounds that would only repeat the last decode step: adds the
+    /// cached step cost to the clock and the comm total one round at a
+    /// time (the same float additions in the same order), stopping at an
+    /// arrival or fault event, then credits each resident with the skipped
+    /// tokens. Skipped rounds call no policy method and count as step-cache
+    /// hits. Returns the rest of the skip when it pauses at the horizon;
+    /// nothing reads the residents' token counts before it resumes, so the
+    /// credit waits until the skip ends.
+    fn fast_forward(&mut self, mut ff: FastForward) -> Option<FastForward> {
+        // With nothing pushed ahead, a push still to come may arrive at the
+        // horizon.
+        let arrival_at = match self.arrivals.front() {
+            _ if ff.batch_full => f64::INFINITY,
+            Some(next) => next.arrival_s,
+            None => self.horizon,
+        };
+        let event_at = self
+            .events
+            .get(self.next_event)
+            .map_or(f64::INFINITY, |e| e.at_s);
+        let (mut now, mut comm_s, mut rounds) = (self.now, self.comm_s, 0u64);
+        while rounds < ff.rounds_left && arrival_at > now && event_at > now {
+            now += ff.ms / 1e3;
+            comm_s += ff.comm_ms / 1e3;
+            rounds += 1;
+        }
+        (self.now, self.comm_s) = (now, comm_s);
+        self.assert_clock_monotone();
+        ff.rounds_left -= rounds;
+        ff.skipped += rounds;
+        let at_horizon = !ff.batch_full && self.arrivals.is_empty() && self.horizon < f64::INFINITY;
+        if ff.rounds_left > 0 && event_at > self.now && at_horizon {
+            return Some(ff);
+        }
+        for f in self.running.iter_mut() {
+            f.generated += ff.skipped;
+        }
+        self.output_tokens += ff.skipped * ff.batch;
+        self.cache_stats.hits += ff.skipped;
+        None
+    }
+
+    /// Applies every fault event due at or before `now` (plus link-window
+    /// expiry), mutating time, the pending/running queues and the
+    /// robustness books. Called at the top of each scheduler round and
+    /// after every time jump, so no event is skipped over.
+    fn faults_due(&mut self) {
+        if self.clean {
+            return;
+        }
+        let books = &mut self.books;
+        // Link windows expire by time, not by a plan event.
+        if books.state.link_factor != 1.0 && self.now >= books.state.link_until {
+            books.state.link_factor = 1.0;
+        }
+        while let Some(&ev) = self.events.get(self.next_event) {
+            if ev.at_s > self.now {
+                break;
+            }
+            self.next_event += 1;
+            books.rob.faults_injected += 1;
+            match ev.kind {
+                FaultKind::RankFail { rank } => {
+                    let rank = rank % books.state.total_ranks;
+                    if !books.state.dead.insert(rank) {
+                        continue; // already dead
+                    }
+                    if books.state.dead.len() == 1 {
+                        books.state.degraded_since = self.now;
+                    }
+                    books.rob.rank_failures += 1;
+                    if let Some(s) = self.stream.as_mut() {
+                        s.shards.invalidate_rank(rank);
+                    }
+                    if let Some(reg) = self.registry.as_mut() {
+                        reg.invalidate_rank(rank);
+                    }
+                    // KV shards mirror every sequence across all ranks, so
+                    // one dead rank invalidates the whole batch's KV: every
+                    // running request is victimized for recompute-prefill
+                    // (bounded by the retry cap), never silently continued
+                    // on garbage.
+                    for victim in self.running.drain(..) {
+                        if let Some(s) = self.stream.as_mut() {
+                            s.unreserve(victim.req.id);
+                        }
+                        let retries = victim.retries + 1;
+                        if retries > self.retry.max_retries {
+                            self.rejections.push(Rejection {
+                                id: victim.req.id,
+                                reason: RejectReason::RetriesExhausted,
+                            });
+                            if let Some(reg) = self.registry.as_mut() {
+                                reg.release(victim.req.id);
+                            }
+                            books.resolve_victim(victim.req.id, self.now);
+                            continue;
+                        }
+                        books.rob.retries += 1;
+                        books.victims_outstanding.insert(victim.req.id);
+                        let back = QueuedRequest {
+                            req: victim.req,
+                            resume_generated: victim.generated,
+                            preemptions: victim.preemptions,
+                            first_admitted_s: Some(victim.first_admitted_s),
+                            first_token_s: victim.first_token_s,
+                            retries,
+                            not_before_s: self.now + self.retry.delay_s(retries),
+                        };
+                        let pos = self
+                            .pending
+                            .partition_point(|p| p.req.arrival_s <= back.req.arrival_s);
+                        self.pending.insert(pos, back);
+                    }
+                    if !books.victims_outstanding.is_empty() && books.recover_started.is_none() {
+                        books.recover_started = Some(self.now);
+                    }
                 }
-            }
-            FaultKind::LinkDegrade { factor, duration_s } => {
-                books.state.link_factor = factor.max(1.0);
-                books.state.link_until = *now + duration_s;
-                books.rob.link_degrades += 1;
-            }
-            FaultKind::KvStall { stall_s } => {
-                *now += stall_s;
-                books.rob.stall_s += stall_s;
-            }
-            FaultKind::CorruptFrame { frames } => {
-                // The entropy codecs' checksums surface corruption as a
-                // typed error before garbage reaches the ZipGEMM path; the
-                // recovery cost is one PCIe re-fetch per frame.
-                let penalty = frames as f64 * engine.frame_refetch_s();
-                *now += penalty;
-                books.rob.frame_corruptions += frames as u64;
-                books.rob.refetch_s += penalty;
+                FaultKind::RankRepair { rank } => {
+                    let rank = rank % books.state.total_ranks;
+                    if let Some(s) = self.stream.as_mut() {
+                        s.shards.repair_rank(rank);
+                    }
+                    if let Some(reg) = self.registry.as_mut() {
+                        reg.repair_rank(rank);
+                    }
+                    if books.state.dead.remove(&rank) && books.state.dead.is_empty() {
+                        books.rob.downtime_s += self.now - books.state.degraded_since;
+                    }
+                }
+                FaultKind::LinkDegrade { factor, duration_s } => {
+                    books.state.link_factor = factor.max(1.0);
+                    books.state.link_until = self.now + duration_s;
+                    books.rob.link_degrades += 1;
+                }
+                FaultKind::KvStall { stall_s } => {
+                    self.now += stall_s;
+                    books.rob.stall_s += stall_s;
+                }
+                FaultKind::CorruptFrame { frames } => {
+                    // The entropy codecs' checksums surface corruption as a
+                    // typed error before garbage reaches the ZipGEMM path;
+                    // the recovery cost is one PCIe re-fetch per frame.
+                    let penalty = frames as f64 * self.engine.frame_refetch_s();
+                    self.now += penalty;
+                    books.rob.frame_corruptions += frames as u64;
+                    books.rob.refetch_s += penalty;
+                }
             }
         }
     }
@@ -641,11 +1543,28 @@ fn apply_due_faults(
 
 /// [`run_policy`] with deterministic fault injection and recovery.
 ///
+/// Pushes the whole trace into a [`SchedulerState`] and finishes it. Each
+/// round of the loop:
+///
+/// 1. **Faults** — plan events due by now apply (see below).
+/// 2. **Admission** — while capacity and the batch cap allow, the policy
+///    picks the next arrived request; a pick that does not fit may evict
+///    policy-chosen victims (each request at most [`MAX_PREEMPTIONS`]
+///    times). Fresh admissions pay their prefill; re-admissions pay a
+///    recompute prefill over `prompt + generated` tokens, or — under
+///    [`PreemptionMode::PageOut`] — the PCIe page-in half of the swap
+///    (the page-out half was charged when the victim was evicted).
+/// 3. **Decode** — prefill chunks (chunked mode), then one step for the
+///    decode-ready batch, costed by the engine's analytic model (cached
+///    per `(step shape, context-bucket)`).
+/// 4. **Retire** — finished requests leave the batch and record latency,
+///    TTFT, queueing delay, preemption count and SLO verdict.
+///
 /// The loop's cost is linear in the trace, and close to nothing for a
 /// decode round that only repeats the one before it:
 ///
 /// * **Arrival cursor** — the sorted trace is read through a cursor, and
-///   `pending` holds only requests that have arrived (plus preemption and
+///   the queue holds only requests that have arrived (plus preemption and
 ///   fault victims, which re-enter by arrival time). Each admission pass
 ///   pulls every arrival with `arrival_s <= now`; the idle jump, the
 ///   hold's wake-up time and the policy-hold shed read the cursor. Every
@@ -663,6 +1582,10 @@ fn apply_due_faults(
 ///   context rises by exactly one per round. The loop stops one round
 ///   before the first resident finishes, so that round runs in full.
 ///   Skipped rounds call no policy method and count as step-cache hits.
+///
+/// A request whose KV demand exceeds the deployment's capacity even as the
+/// sole occupant is rejected as [`RejectReason::Oversized`] rather than
+/// looping forever.
 ///
 /// The clean-path guarantee: with an empty [`FaultPlan`] this function
 /// executes *exactly* the arithmetic of the pre-fault loop — every fault
@@ -701,627 +1624,12 @@ pub fn run_policy_faulted(
     retry: &RetryPolicy,
 ) -> ScheduleReport {
     arrivals.sort_by(|a, b| a.arrival_s.partial_cmp(&b.arrival_s).expect("finite"));
-    let capacity = engine.kv_capacity_tokens();
-    let clean = plan.is_empty();
-    let events = plan.events();
-    let mut next_event = 0usize;
-    let mut books = FaultBooks {
-        state: FaultState::new(engine.cluster().total_ranks()),
-        rob: RobustnessStats::default(),
-        victims_outstanding: HashSet::new(),
-        recover_started: None,
-    };
-    // Chunked-prefill mode (default at pp ≥ 2, or forced via
-    // `EngineBuilder::chunked_prefill`): fresh prefills stream through the
-    // pipeline in per-stage chunks between decode steps, and admission is
-    // gated by the *live* per-rank KV shards instead of the scalar
-    // capacity alone. `None` pins the legacy whole-prefill arithmetic
-    // bit-for-bit.
-    let mut stream: Option<StreamBooks> = if engine.chunked_prefill() {
-        Some(StreamBooks {
-            shards: engine.kv_shards(),
-            chunk_cost: HashMap::new(),
-            n_chunks: engine.cluster().pp().max(1),
-        })
-    } else {
-        None
-    };
-    // Prefix caching (opt-in via `EngineBuilder::prefix_caching`): the
-    // registry interns shared-prefix hashes on its own overlay shards and
-    // forks them copy-on-write on hit, so admission charges prefill for
-    // the unshared suffix only. `None` — the default — touches no legacy
-    // code path, keeping caching-off runs bit-identical.
-    let mut registry: Option<PrefixRegistry> = if engine.prefix_caching() {
-        Some(PrefixRegistry::new(
-            engine.kv_shards(),
-            policy.prefix_victim(),
-        ))
-    } else {
-        None
-    };
-    // `arrivals[next_arrival..]` have not arrived yet; `pending` holds only
-    // requests that have, in arrival order.
-    let mut next_arrival = 0usize;
-    let mut pending: Vec<QueuedRequest> = Vec::new();
-    let mut running: Vec<RunningRequest> = Vec::new();
-    let mut completions = Vec::new();
-    let mut rejections: Vec<Rejection> = Vec::new();
-    let mut now = 0.0f64;
-    let mut peak_batch = 0usize;
-    let mut output_tokens = 0u64;
-    let mut preemptions = 0u64;
-    let mut comm_s = 0.0f64;
-    // Step times cached per (step-shape key, context bucket): (total ms,
-    // comm ms). The key is `engine.step_cache_key(batch)` — the raw batch
-    // on single-stage engines, the micro-batch shape on pipelined ones,
-    // where distinct batches collapse onto identical step costs (keying on
-    // the raw batch defeated the cache there: every batch size was a fresh
-    // miss pricing a shape already priced). The cached pair is
-    // fault-independent — degradation scales it *after* the lookup — so
-    // the key needs no fault epoch.
-    let mut step_cache: HashMap<(u64, u64), (f64, f64)> = HashMap::new();
-    let mut cache_stats = StepCacheStats::default();
-    // Last clock reading, for the debug-build monotonicity check.
-    let mut last_now = now;
-
-    // Worst-case KV demand if `cand` joins the current batch (same
-    // whole-lifetime accounting as the legacy loop).
-    fn kv_demand(running: &[RunningRequest], cand: &QueuedRequest) -> u64 {
-        running
-            .iter()
-            .map(|f| f.req.prompt_len + f.req.output_len)
-            .sum::<u64>()
-            + cand.req.prompt_len
-            + cand.req.output_len
-    }
-
-    macro_rules! faults_due {
-        () => {
-            if !clean {
-                apply_due_faults(
-                    events,
-                    &mut next_event,
-                    &mut books,
-                    &mut stream,
-                    &mut registry,
-                    retry,
-                    engine,
-                    &mut now,
-                    &mut pending,
-                    &mut running,
-                    &mut rejections,
-                );
-            }
-        };
-    }
-
-    macro_rules! assert_clock_monotone {
-        () => {
-            debug_assert!(now >= last_now, "clock ran backwards: {last_now} -> {now}");
-            last_now = now;
-        };
-    }
-
-    while !pending.is_empty() || !running.is_empty() || next_arrival < arrivals.len() {
-        faults_due!();
-        assert_clock_monotone!();
-        // Admission phase.
-        'admit: while !pending.is_empty() || next_arrival < arrivals.len() {
-            if pending.is_empty() && running.is_empty() && arrivals[next_arrival].arrival_s > now {
-                // Idle: jump to the next arrival.
-                now = arrivals[next_arrival].arrival_s;
-                faults_due!();
-            }
-            // Every queued request arrived before any unpulled one, so
-            // appending keeps `pending` in arrival order.
-            while next_arrival < arrivals.len() && arrivals[next_arrival].arrival_s <= now {
-                pending.push(QueuedRequest::fresh(arrivals[next_arrival]));
-                next_arrival += 1;
-            }
-            if pending.is_empty() || running.len() >= max_batch {
-                break;
-            }
-            // Streaming admission is paced: at most one prefilling resident
-            // per chunk slot. Without the cap the loop admits the whole
-            // queue the moment it arrives (admission itself costs no time
-            // under chunked prefill), and the eagerly-reserved KV of
-            // low-priority residents blocks late interactive arrivals —
-            // the exact tail chunked prefill is meant to cut. Held
-            // admissions stay in `pending`, where the policy keeps
-            // reordering them as chunks drain.
-            if stream.is_some()
-                && running.iter().filter(|f| f.is_prefilling()).count()
-                    >= engine.micro_batches().max(1) as usize
-            {
-                break;
-            }
-            // Backoff gating: fault victims waiting out their backoff are
-            // invisible to the policy until `not_before_s`. On the clean
-            // path every `not_before_s` is 0, so the view is the plain
-            // arrived queue and no gating work happens.
-            let picked = if clean {
-                policy.select(&pending, &running, now)
-            } else {
-                let eligible: Vec<usize> = (0..pending.len())
-                    .filter(|&i| pending[i].not_before_s <= now)
-                    .collect();
-                let view: Vec<QueuedRequest> = eligible.iter().map(|&i| pending[i]).collect();
-                policy.select(&view, &running, now).map(|vi| {
-                    assert!(vi < view.len(), "policy selected an unarrived request");
-                    eligible[vi]
-                })
-            };
-            let Some(pick) = picked else {
-                if running.is_empty() {
-                    // The engine is idle and the policy holds admission (or
-                    // every eligible request is waiting out a backoff):
-                    // jump to whatever ends the hold first — the next
-                    // arrival, the earliest backoff expiry, or the next
-                    // fault event (a repair can end a brownout).
-                    let mut wake = arrivals.get(next_arrival).map(|r| r.arrival_s);
-                    if !clean {
-                        let backoff = pending
-                            .iter()
-                            .map(|p| p.not_before_s)
-                            .filter(|&t| t > now)
-                            .fold(f64::INFINITY, f64::min);
-                        if backoff.is_finite() {
-                            wake = Some(wake.map_or(backoff, |w| w.min(backoff)));
-                        }
-                        if next_event < events.len() {
-                            let ev = events[next_event].at_s;
-                            wake = Some(wake.map_or(ev, |w| w.min(ev)));
-                        }
-                    }
-                    if let Some(t) = wake {
-                        now = now.max(t);
-                        faults_due!();
-                        continue 'admit;
-                    }
-                    // Nothing will ever wake the engine again: the policy
-                    // held admission with no future arrival, backoff or
-                    // fault left. Shed the queue with a typed rejection
-                    // instead of panicking or spinning forever.
-                    for q in pending.drain(..) {
-                        rejections.push(Rejection {
-                            id: q.req.id,
-                            reason: RejectReason::PolicyHold,
-                        });
-                        if let Some(reg) = registry.as_mut() {
-                            reg.release(q.req.id);
-                        }
-                        if !clean {
-                            books.resolve_victim(q.req.id, now);
-                        }
-                    }
-                    break 'admit;
-                }
-                break;
-            };
-            assert!(pick < pending.len(), "policy selected an unarrived request");
-            let cand = pending[pick];
-
-            // A request whose lifetime KV demand exceeds capacity can never
-            // run: reject it up front, before it evicts innocent victims.
-            // Judged against *full* capacity — a degraded deployment may
-            // recover, so the verdict must not depend on the fault state.
-            if cand.req.prompt_len + cand.req.output_len > capacity {
-                rejections.push(Rejection {
-                    id: cand.req.id,
-                    reason: RejectReason::Oversized,
-                });
-                pending.remove(pick);
-                if !clean {
-                    books.resolve_victim(cand.req.id, now);
-                }
-                continue 'admit;
-            }
-
-            // SLO-aware brownout: while a rank is down, fresh best-effort
-            // (Batch-class) arrivals are shed so the degraded capacity
-            // serves SLO-carrying traffic; fault victims keep their retry
-            // path regardless of class.
-            if !clean
-                && !books.state.dead.is_empty()
-                && cand.retries == 0
-                && cand.req.priority == PriorityClass::Batch
-            {
-                rejections.push(Rejection {
-                    id: cand.req.id,
-                    reason: RejectReason::BrownoutShed,
-                });
-                books.rob.shed += 1;
-                pending.remove(pick);
-                continue 'admit;
-            }
-
-            // Capacity re-planned around dead ranks (integer scaling; full
-            // capacity — the same u64 — while every rank is alive).
-            let cap_now = if clean || books.state.dead.is_empty() {
-                capacity
-            } else {
-                books.state.scaled_capacity(capacity)
-            };
-
-            // Preempt victims until the candidate fits or the policy (or
-            // the per-request cap, as a backstop for custom policies that
-            // name a pinned victim) refuses. Each eviction re-inserts the
-            // victim into `pending` by arrival, so the candidate's index is
-            // tracked through the insertions rather than re-located.
-            //
-            // Streaming mode adds a second gate behind the scalar one: the
-            // candidate's whole-lifetime KV must also reserve real pages on
-            // every alive rank. The reservation is sticky — once taken it
-            // is kept across further fit checks, and released only if the
-            // candidate ultimately fails to admit.
-            let mut cand_idx = pick;
-            let mut evictions_left = running.len();
-            let mut reserved = false;
-            macro_rules! cand_fits {
-                () => {{
-                    if kv_demand(&running, &cand) > cap_now {
-                        false
-                    } else if let Some(s) = stream.as_mut() {
-                        if !reserved {
-                            reserved = s.try_reserve(&cand);
-                        }
-                        reserved
-                    } else {
-                        true
-                    }
-                }};
-            }
-            while !cand_fits!() && evictions_left > 0 {
-                let Some(vi) = policy.victim(&cand, &running, now) else {
-                    break;
-                };
-                if running[vi].preemptions >= MAX_PREEMPTIONS {
-                    break;
-                }
-                let victim = running.remove(vi);
-                if let Some(s) = stream.as_mut() {
-                    s.unreserve(victim.req.id);
-                }
-                preemptions += 1;
-                // Page-out preemption pays the host-bound PCIe transfer at
-                // eviction time — the victim's pages must land in host
-                // memory before the candidate can take them, delaying the
-                // whole engine *now*. The matching page-in is charged when
-                // the victim resumes. (The pre-split accounting lumped both
-                // transfers at resume, understating the eviction-side
-                // stall; pinned by `pageout_is_charged_at_both_ends`.)
-                if policy.preemption_mode() == PreemptionMode::PageOut {
-                    now += engine.kv_swap_s(victim.kv_tokens());
-                }
-                let back = QueuedRequest {
-                    req: victim.req,
-                    resume_generated: victim.generated,
-                    preemptions: victim.preemptions + 1,
-                    first_admitted_s: Some(victim.first_admitted_s),
-                    first_token_s: victim.first_token_s,
-                    retries: victim.retries,
-                    not_before_s: 0.0,
-                };
-                let pos = pending.partition_point(|p| p.req.arrival_s <= back.req.arrival_s);
-                pending.insert(pos, back);
-                if pos <= cand_idx {
-                    cand_idx += 1;
-                }
-                evictions_left -= 1;
-            }
-
-            if !cand_fits!() {
-                // A stranded reservation (scalar gate failed after the
-                // shards accepted) must be handed back before the hold.
-                if reserved {
-                    if let Some(s) = stream.as_mut() {
-                        s.unreserve(cand.req.id);
-                    }
-                }
-                if stream.is_some() && clean && running.is_empty() {
-                    // A lone non-oversized candidate always fits empty
-                    // shards on a clean deployment (the scalar capacity is
-                    // the min over per-rank shard capacities), so this is
-                    // unreachable — but a silent `break 'admit` here would
-                    // spin forever, so shed with a typed rejection instead.
-                    debug_assert!(false, "lone candidate refused by empty shards");
-                    rejections.push(Rejection {
-                        id: cand.req.id,
-                        reason: RejectReason::CapacityLost,
-                    });
-                    if let Some(reg) = registry.as_mut() {
-                        reg.release(cand.req.id);
-                    }
-                    pending.remove(cand_idx);
-                    continue 'admit;
-                }
-                if !clean && running.is_empty() {
-                    // Degraded capacity cannot hold even a lone candidate
-                    // that fits the healthy deployment. Wait for the next
-                    // fault event (a repair restores capacity); with none
-                    // left, the capacity is gone for good — typed
-                    // rejection, not an infinite stall.
-                    if next_event < events.len() {
-                        now = now.max(events[next_event].at_s);
-                        faults_due!();
-                    } else {
-                        rejections.push(Rejection {
-                            id: cand.req.id,
-                            reason: RejectReason::CapacityLost,
-                        });
-                        if let Some(reg) = registry.as_mut() {
-                            reg.release(cand.req.id);
-                        }
-                        pending.remove(cand_idx);
-                        books.resolve_victim(cand.req.id, now);
-                    }
-                    continue 'admit;
-                }
-                // The candidate fits an empty batch (oversized requests were
-                // rejected above), so this hold always ends as completions
-                // or further preemptions free KV.
-                break 'admit;
-            }
-
-            // Admit: fresh requests pay prefill; resumed requests pay the
-            // policy's preferred KV recovery. Fault victims *always*
-            // recompute — the failed rank's shard is gone, so there is
-            // nothing to page back in.
-            debug_assert_eq!(pending[cand_idx], cand, "candidate index tracked");
-            let q = pending.remove(cand_idx);
-            if !clean {
-                books.resolve_victim(q.req.id, now);
-            }
-            // Prefix-cache lookup: a fresh prefill that declares a shared
-            // prefix may fork the cached copy and prefill only the suffix.
-            // Fault-retry recomputes stay full-price — the dead rank's KV
-            // (cached prefixes included) is gone.
-            let mut prefix_saved = 0u64;
-            if let Some(reg) = registry.as_mut() {
-                if q.resume_generated == 0 && (clean || q.retries == 0) {
-                    prefix_saved = reg.admit(
-                        q.req.id,
-                        q.req.prefix_hash,
-                        q.req.prefix_len,
-                        q.req.prompt_len,
-                    );
-                }
-            }
-            let mut cost = if !clean && q.retries > 0 {
-                books.rob.recomputed_tokens += q.kv_tokens_on_admit();
-                engine.prefill_ms(1, q.kv_tokens_on_admit()) / 1e3
-            } else if q.resume_generated == 0 {
-                engine.prefill_ms(1, q.req.prompt_len.saturating_sub(prefix_saved).max(1)) / 1e3
-            } else {
-                match policy.preemption_mode() {
-                    PreemptionMode::Recompute => engine.prefill_ms(1, q.kv_tokens_on_admit()) / 1e3,
-                    // Page-in only: the outbound transfer was charged when
-                    // this request was evicted.
-                    PreemptionMode::PageOut => engine.kv_swap_s(q.kv_tokens_on_admit()),
-                }
-            };
-            if !clean && !books.state.dead.is_empty() {
-                cost *= books.state.compute_slowdown();
-            }
-            // Streaming mode defers a *fresh* prefill: instead of charging
-            // the whole cost serially at admission, the request enters the
-            // batch still prefilling and pays `cost / n_chunks` per chunk
-            // as chunks ride the pipeline's micro-batch slots between
-            // decode steps. Resumes (page-in, recompute) stay serial — they
-            // rebuild KV, they don't stream the prompt through the stages.
-            // Classes opted out via `EngineBuilder::whole_prefill_for` also
-            // stay serial: their prompts take the legacy admission charge
-            // while the rest of the traffic keeps chunking.
-            let mut chunks_left = 0u32;
-            match stream.as_mut() {
-                Some(s) if q.resume_generated == 0 && !engine.whole_prefill_for(q.req.priority) => {
-                    chunks_left = s.n_chunks;
-                    s.chunk_cost.insert(q.req.id, cost / f64::from(s.n_chunks));
-                }
-                _ => now += cost,
-            }
-            running.push(RunningRequest {
-                req: q.req,
-                admitted_s: now,
-                generated: q.resume_generated,
-                preemptions: q.preemptions,
-                first_admitted_s: q.first_admitted_s.unwrap_or(now),
-                first_token_s: q.first_token_s,
-                retries: q.retries,
-                prefill_chunks_left: chunks_left,
-            });
-        }
-        peak_batch = peak_batch.max(running.len());
-        if running.is_empty() {
-            continue;
-        }
-
-        // Chunked prefill: between decode steps, up to `micro_batches`
-        // prefill chunks ride the pipeline's micro-batch slots, most
-        // urgent resident first (priority class, then earliest arrival).
-        // Chunk granularity is the TTFT win — an interactive prompt's
-        // chunks overtake a long batch prompt mid-prefill instead of
-        // queueing behind its whole prefill.
-        if stream.is_some() {
-            for _ in 0..engine.micro_batches().max(1) {
-                let Some(next) = running
-                    .iter_mut()
-                    .filter(|f| f.is_prefilling())
-                    .max_by(|a, b| {
-                        a.req
-                            .priority
-                            .rank()
-                            .cmp(&b.req.priority.rank())
-                            .then_with(|| {
-                                b.req
-                                    .arrival_s
-                                    .partial_cmp(&a.req.arrival_s)
-                                    .expect("finite")
-                            })
-                            .then_with(|| b.req.id.cmp(&a.req.id))
-                    })
-                else {
-                    break;
-                };
-                let id = next.req.id;
-                next.prefill_chunks_left -= 1;
-                let chunk = stream
-                    .as_ref()
-                    .and_then(|s| s.chunk_cost.get(&id))
-                    .copied()
-                    .expect("streaming resident has a chunk cost");
-                now += chunk;
-            }
-        }
-
-        // One decode step for the batch's decode-ready subset (residents
-        // still mid-prefill occupy KV but don't decode yet; on the legacy
-        // path every resident has zero chunks left, so the filter is the
-        // identity and the arithmetic below is bit-for-bit the old loop).
-        let batch = running.iter().filter(|f| !f.is_prefilling()).count() as u64;
-        if batch == 0 {
-            // Whole batch still prefilling: chunks advanced time above, so
-            // the loop makes progress without a decode step.
-            continue;
-        }
-        let mean_context: u64 = running
-            .iter()
-            .filter(|f| !f.is_prefilling())
-            .map(|f| f.req.prompt_len + f.generated)
-            .sum::<u64>()
-            / batch;
-        let bucket = (mean_context / 256).max(1) * 256;
-        let key = (engine.step_cache_key(batch), bucket);
-        if step_cache.contains_key(&key) {
-            cache_stats.hits += 1;
-        } else {
-            cache_stats.misses += 1;
-        }
-        let (ms, step_comm_ms) = *step_cache
-            .entry(key)
-            .or_insert_with(|| engine.step_cost_priced(key, batch, bucket));
-        if clean || books.state.is_clean() {
-            now += ms / 1e3;
-            comm_s += step_comm_ms / 1e3;
-        } else {
-            // Survivors absorb the dead ranks' compute; the communication
-            // share stretches by the degraded-link factor (same model as
-            // `parallel::allreduce_us_degraded`).
-            let slow = if books.state.dead.is_empty() {
-                1.0
-            } else {
-                books.state.compute_slowdown()
-            };
-            let eff_ms = (ms - step_comm_ms) * slow + step_comm_ms * books.state.link_factor;
-            now += eff_ms / 1e3;
-            comm_s += step_comm_ms * books.state.link_factor / 1e3;
-        }
-        output_tokens += batch;
-
-        // Advance and retire (decode-ready residents only; identity filter
-        // on the legacy path).
-        for f in running.iter_mut().filter(|f| !f.is_prefilling()) {
-            f.generated += 1;
-            if f.first_token_s.is_none() {
-                f.first_token_s = Some(now);
-            }
-        }
-        running.retain(|f| {
-            if !f.is_prefilling() && f.generated >= f.req.output_len {
-                if let Some(s) = stream.as_mut() {
-                    s.unreserve(f.req.id);
-                }
-                if let Some(reg) = registry.as_mut() {
-                    reg.release(f.req.id);
-                }
-                completions.push(complete(f, now));
-                false
-            } else {
-                true
-            }
-        });
-
-        // Decode fast-forward. While the batch is unchanged (nobody
-        // finished or is prefilling) and the fault state is clean, the
-        // next round only repeats this decode step, priced from the same
-        // cache entry, as long as it admits nothing and finds no fault
-        // event due. Skip such rounds here, bounded by the first
-        // completion (that round runs in full) and by the last round whose
-        // mean context, rising one per round, stays in this bucket. A full
-        // batch admits nothing, whatever has arrived.
-        let batch_full = running.len() >= max_batch;
-        if running.len() as u64 == batch
-            && !running.iter().any(RunningRequest::is_prefilling)
-            && (clean || books.state.is_clean())
-            && (batch_full || pending.is_empty())
-        {
-            let to_first_completion = running
-                .iter()
-                .map(RunningRequest::remaining_output)
-                .min()
-                .unwrap_or(0);
-            let max_rounds = to_first_completion
-                .saturating_sub(1)
-                .min(bucket + 255 - mean_context);
-            let mut rounds = 0u64;
-            while rounds < max_rounds
-                && (batch_full
-                    || !arrivals
-                        .get(next_arrival)
-                        .is_some_and(|r| r.arrival_s <= now))
-                && !events.get(next_event).is_some_and(|e| e.at_s <= now)
-            {
-                now += ms / 1e3;
-                comm_s += step_comm_ms / 1e3;
-                assert_clock_monotone!();
-                rounds += 1;
-            }
-            for f in running.iter_mut() {
-                f.generated += rounds;
-            }
-            output_tokens += rounds * batch;
-            cache_stats.hits += rounds;
-        }
-    }
-
+    let mut state = SchedulerState::new(engine, policy, max_batch, plan, retry);
+    // Push the sorted trace in one move.
     #[cfg(debug_assertions)]
-    {
-        let mut resolved: Vec<u64> = completions
-            .iter()
-            .map(|c| c.id)
-            .chain(rejections.iter().map(|r| r.id))
-            .collect();
-        let mut expected: Vec<u64> = arrivals.iter().map(|r| r.id).collect();
-        resolved.sort_unstable();
-        expected.sort_unstable();
-        assert_eq!(resolved, expected, "every arrival resolves exactly once");
-    }
-
-    if !clean {
-        // Close the books: a run can end while degraded or with a recovery
-        // window still open (every victim rejected late in the run).
-        if !books.state.dead.is_empty() {
-            books.rob.downtime_s += now - books.state.degraded_since;
-        }
-        if let Some(t0) = books.recover_started.take() {
-            books.rob.time_to_recover_s += now - t0;
-            books.rob.recoveries += 1;
-        }
-    }
-
-    finish_report(
-        policy.name(),
-        now,
-        output_tokens,
-        peak_batch,
-        comm_s,
-        preemptions,
-        rejections,
-        books.rob,
-        cache_stats,
-        registry.map(|r| r.stats()).unwrap_or_default(),
-        completions,
-    )
+    state.pushed.extend(arrivals.iter().map(|r| r.id));
+    state.arrivals = arrivals.into();
+    state.finish()
 }
 
 /// A request in flight (legacy reference loop only).
@@ -1739,5 +2047,184 @@ mod tests {
                 assert!(c.ttft_s > 0.0 && c.ttft_s <= c.latency_s, "{}", p.name());
             }
         }
+    }
+
+    /// Holds a lone request while the engine is idle, until a second one
+    /// arrives.
+    #[derive(Debug, Clone)]
+    struct PairUp;
+
+    impl SchedulePolicy for PairUp {
+        fn name(&self) -> &'static str {
+            "pair-up"
+        }
+
+        fn select(
+            &self,
+            queued: &[QueuedRequest],
+            running: &[RunningRequest],
+            _: f64,
+        ) -> Option<usize> {
+            (queued.len() >= 2 || !queued.is_empty() && !running.is_empty()).then_some(0)
+        }
+
+        fn clone_box(&self) -> Box<dyn SchedulePolicy> {
+            Box::new(self.clone())
+        }
+    }
+
+    /// Feeds `trace` the way a lockstep fleet does: before each group of
+    /// `group` arrivals the state steps to a point between arrivals, then
+    /// (twice) to the group's first arrival, and only then gets the pushes.
+    fn lockstep(
+        engine: &ServingEngine,
+        policy: &dyn SchedulePolicy,
+        plan: &FaultPlan,
+        trace: &[Request],
+        group: usize,
+    ) -> ScheduleReport {
+        let retry = RetryPolicy::default();
+        let mut state = SchedulerState::new(engine, policy, 8, plan, &retry);
+        let mut prev = 0.0;
+        for chunk in trace.chunks(group) {
+            let t = chunk[0].arrival_s;
+            state.step_until(0.5 * (prev + t));
+            state.step_until(t);
+            state.step_until(t);
+            for &req in chunk {
+                state.push(req);
+            }
+            prev = chunk[chunk.len() - 1].arrival_s;
+        }
+        state.finish()
+    }
+
+    #[test]
+    fn report_does_not_depend_on_how_arrivals_are_fed() {
+        use crate::workload::ArrivalMix;
+        let policies: Vec<Box<dyn SchedulePolicy>> = vec![
+            Box::new(Fcfs),
+            Box::new(Priority::default()),
+            Box::new(SloEdf::default()),
+            Box::new(PreemptiveSjf::default()),
+            Box::new(PreemptiveSjf {
+                mode: PreemptionMode::PageOut,
+            }),
+            Box::new(HoldAll),
+            Box::new(PairUp),
+        ];
+        let deployments = [
+            ServingEngine::builder().cluster(GpuCluster::single(Gpu::Rtx4090)),
+            ServingEngine::builder()
+                .cluster(GpuCluster::single(Gpu::Rtx4090))
+                .chunked_prefill(true)
+                .prefix_caching(true),
+            ServingEngine::builder().cluster(GpuCluster::pipeline_parallel(Gpu::L40s, 1, 2)),
+        ];
+        let loads = [
+            ArrivalMix::paper_mix().generate(12.0, 60, 43),
+            ArrivalMix::multi_tenant_mix().generate(2.0, 60, 47),
+        ];
+        for builder in deployments {
+            let engine = builder.max_batch(8).build();
+            for trace in &loads {
+                let horizon = trace[trace.len() - 1].arrival_s;
+                let ranks = engine.cluster().total_ranks();
+                let faulted = FaultPlan::seeded(19, horizon, ranks)
+                    .link_degrade(0.3 * horizon, 2.5, 0.15 * horizon)
+                    .kv_stall(0.5 * horizon, 0.02 * horizon);
+                for plan in [FaultPlan::default(), faulted] {
+                    for policy in &policies {
+                        let retry = RetryPolicy::default();
+                        let whole = format!(
+                            "{:?}",
+                            run_policy_faulted(
+                                &engine,
+                                policy.as_ref(),
+                                8,
+                                trace.clone(),
+                                &plan,
+                                &retry
+                            )
+                        );
+                        for group in [1, 3] {
+                            let fed = lockstep(&engine, policy.as_ref(), &plan, trace, group);
+                            assert_eq!(
+                                format!("{fed:?}"),
+                                whole,
+                                "{} fed in groups of {group}",
+                                policy.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "push out of arrival order")]
+    fn push_before_the_stepped_time_panics() {
+        let zip = engine(EngineKind::ZipServ);
+        let (plan, retry) = (FaultPlan::default(), RetryPolicy::default());
+        let mut state = SchedulerState::new(&zip, &Fcfs, 8, &plan, &retry);
+        state.step_until(2.0);
+        state.push(Request::new(0, 1.0, 64, 8));
+    }
+
+    /// Admits in arrival order and always names request 0 as the victim.
+    #[derive(Debug, Clone)]
+    struct PinnedVictim;
+
+    impl SchedulePolicy for PinnedVictim {
+        fn name(&self) -> &'static str {
+            "pinned-victim"
+        }
+
+        fn select(&self, queued: &[QueuedRequest], _: &[RunningRequest], _: f64) -> Option<usize> {
+            (!queued.is_empty()).then_some(0)
+        }
+
+        fn victim(&self, _: &QueuedRequest, running: &[RunningRequest], _: f64) -> Option<usize> {
+            running.iter().position(|f| f.req.id == 0)
+        }
+
+        fn clone_box(&self) -> Box<dyn SchedulePolicy> {
+            Box::new(self.clone())
+        }
+    }
+
+    #[test]
+    fn preemption_cap_stops_a_policy_that_keeps_naming_one_victim() {
+        // Request 0 and any challenger cannot share the KV, so every
+        // challenger evicts request 0 until it reaches the cap; the next
+        // challenger then waits for request 0 to finish.
+        let zip = engine(EngineKind::ZipServ);
+        let half = zip.kv_capacity_tokens() / 2;
+        let challengers = u64::from(MAX_PREEMPTIONS) + 2;
+        let mut arrivals = vec![Request::new(0, 0.0, half, 64)];
+        arrivals.extend((1..=challengers).map(|id| Request::new(id, 0.001, half, 8)));
+        let report = run_policy(&zip, &PinnedVictim, 64, arrivals);
+
+        assert_eq!(report.completions.len() as u64, challengers + 1);
+        let done = |id: u64| {
+            *report
+                .completions
+                .iter()
+                .find(|c| c.id == id)
+                .expect("completed")
+        };
+        let pinned = done(0);
+        assert_eq!(pinned.preemptions, MAX_PREEMPTIONS);
+        assert_eq!(report.preemptions, u64::from(MAX_PREEMPTIONS));
+        // The first challenger past the cap is admitted only once request 0
+        // has finished.
+        let held = done(u64::from(MAX_PREEMPTIONS) + 1);
+        assert!(
+            0.001 + held.queue_s >= pinned.latency_s,
+            "challenger admitted at {} before request 0 finished at {}",
+            0.001 + held.queue_s,
+            pinned.latency_s
+        );
     }
 }

@@ -7,9 +7,13 @@
 //!
 //! The digests were recorded from the scheduler before it gained its
 //! arrival cursor and decode fast-forward. Both are pure speedups, so
-//! every report must stay bit-identical. On a mismatch the failure
-//! message prints the whole current table, ready to paste back after an
-//! intended behaviour change.
+//! every report must stay bit-identical. One pin was re-recorded since:
+//! `fleet/p2c_x4/paper_6`, when the fleet stopped routing on an estimated
+//! shadow of each replica and began routing on the replicas' live state
+//! (power-of-two-choices reads in-flight depth, so its placements moved;
+//! session affinity routes by tenant hash and its pin held). On a
+//! mismatch the failure message prints the whole current table, ready to
+//! paste back after an intended behaviour change.
 
 use std::collections::HashSet;
 
@@ -226,7 +230,7 @@ const PINS: &[(&str, u64)] = &[
     ("preemptive-sjf-pageout/l40s_pp2_chunked/paper_12/faulted", 0x7cfea0fb22a557f2),
     ("preemptive-sjf-pageout/l40s_pp2_chunked/tenant_2/clean", 0xcf4eda8731a24b5c),
     ("preemptive-sjf-pageout/l40s_pp2_chunked/tenant_2/faulted", 0xc52624c81621bd56),
-    ("fleet/p2c_x4/paper_6", 0x2a6d290a4ea1f2a2),
+    ("fleet/p2c_x4/paper_6", 0x38ada58a7855f36b),
     ("fleet/affinity_x4/tenant_8/faulted", 0x66f71a37a2349edb),
 ];
 
