@@ -6,7 +6,8 @@ use zipserv_gpu_sim::device::Gpu;
 use zipserv_kernels::shapes::LlmModel;
 use zipserv_serve::cluster::GpuCluster;
 use zipserv_serve::engine::{EngineKind, ServingEngine};
-use zipserv_serve::scheduler::{poisson_arrivals, ContinuousBatcher};
+use zipserv_serve::policy::Fcfs;
+use zipserv_serve::scheduler::{poisson_arrivals, run_policy};
 
 fn bench(c: &mut Criterion) {
     println!("{}", figures::online());
@@ -17,7 +18,7 @@ fn bench(c: &mut Criterion) {
     );
     let arrivals = poisson_arrivals(6.0, 40, 512, 128, 3);
     c.bench_function("online/continuous_batching_40reqs", |b| {
-        b.iter(|| ContinuousBatcher::new(black_box(&engine)).run(arrivals.clone()));
+        b.iter(|| run_policy(black_box(&engine), &Fcfs, 64, arrivals.clone()));
     });
 }
 

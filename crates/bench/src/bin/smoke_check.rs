@@ -66,7 +66,7 @@ fn parse_kv_line(log: &str, prefix: &str) -> HashMap<String, f64> {
 }
 
 /// Minimal extractor for the flat numeric fields this check needs from
-/// `BENCH_baseline.json` (the vendored `serde` is a no-op stand-in, so the
+/// `BENCH_baseline.json` (the workspace has no JSON parser, so the
 /// baseline is parsed by key search; keys are unique in that file).
 fn baseline_number(json: &str, key: &str) -> Option<f64> {
     let needle = format!("\"{key}\"");

@@ -618,13 +618,14 @@ pub fn ablation() -> String {
 /// Online continuous-batching comparison (the production-serving view of
 /// Figure 16's KV-capacity mechanism).
 pub fn online() -> String {
-    use zipserv_serve::scheduler::{poisson_arrivals, ContinuousBatcher};
+    use zipserv_serve::policy::Fcfs;
+    use zipserv_serve::scheduler::{poisson_arrivals, run_policy};
     let cluster = GpuCluster::single(Gpu::Rtx4090);
     let arrivals = poisson_arrivals(8.0, 80, 1024, 256, 17);
     let mut rows = Vec::new();
     for kind in [EngineKind::ZipServ, EngineKind::Vllm] {
         let engine = ServingEngine::new(kind, LlmModel::Llama31_8b, cluster);
-        let report = ContinuousBatcher::new(&engine).run(arrivals.clone());
+        let report = run_policy(&engine, &Fcfs, 64, arrivals.clone());
         rows.push(vec![
             kind.name().to_string(),
             f2(report.throughput_tps),

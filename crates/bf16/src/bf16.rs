@@ -258,18 +258,6 @@ impl core::ops::Neg for Bf16 {
     }
 }
 
-impl serde::Serialize for Bf16 {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_u16(self.0)
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Bf16 {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        u16::deserialize(deserializer).map(Bf16)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -126,20 +126,18 @@ impl TbeCompressor {
 
         // Shard blocks across scoped worker threads, preserving order.
         let chunk = blocks.len().div_ceil(workers);
-        let mut out: Vec<Vec<Vec<EncodedTile>>> = Vec::new();
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = blocks
                 .chunks(chunk)
                 .map(|shard| {
-                    scope.spawn(move |_| shard.iter().map(|b| encode_one(b)).collect::<Vec<_>>())
+                    scope.spawn(move || shard.iter().map(|b| encode_one(b)).collect::<Vec<_>>())
                 })
                 .collect();
-            for h in handles {
-                out.push(h.join().expect("compressor worker panicked"));
-            }
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("compressor worker panicked"))
+                .collect()
         })
-        .expect("compressor scope panicked");
-        out.into_iter().flatten().collect()
     }
 }
 

@@ -10,7 +10,6 @@
 use super::layout::TbeMatrix;
 use super::serialize;
 use crate::error::TbeError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::BTreeMap;
 
 /// A named collection of compressed tensors.
@@ -65,19 +64,17 @@ impl ModelArchive {
 
     /// Serializes the archive: a count-prefixed sequence of
     /// `(name, .ztbe blob)` records.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut out = BytesMut::new();
-        out.put_slice(b"ZARC");
-        out.put_u32_le(self.tensors.len() as u32);
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = b"ZARC".to_vec();
+        out.extend_from_slice(&(self.tensors.len() as u32).to_le_bytes());
         for (name, tensor) in &self.tensors {
-            let name_bytes = name.as_bytes();
-            out.put_u32_le(name_bytes.len() as u32);
-            out.put_slice(name_bytes);
+            out.extend_from_slice(&(name.len() as u32).to_le_bytes());
+            out.extend_from_slice(name.as_bytes());
             let blob = serialize::to_bytes(tensor);
-            out.put_u64_le(blob.len() as u64);
-            out.put_slice(&blob);
+            out.extend_from_slice(&(blob.len() as u64).to_le_bytes());
+            out.extend_from_slice(&blob);
         }
-        out.freeze()
+        out
     }
 
     /// Deserializes an archive.
@@ -89,7 +86,7 @@ impl ModelArchive {
     pub fn from_bytes(mut bytes: &[u8]) -> Result<Self, TbeError> {
         const E: TbeError = TbeError::Corrupt("truncated archive");
         let mut take = |n: usize| -> Result<&[u8], TbeError> {
-            if bytes.remaining() < n {
+            if bytes.len() < n {
                 return Err(E);
             }
             let (head, rest) = bytes.split_at(n);
@@ -216,7 +213,7 @@ mod tests {
     fn archive_rejects_corruption() {
         let mut a = ModelArchive::new();
         a.insert("t", tensor(6));
-        let mut bytes = a.to_bytes().to_vec();
+        let mut bytes = a.to_bytes();
         bytes[0] = b'X';
         assert!(ModelArchive::from_bytes(&bytes).is_err());
         let good = a.to_bytes();

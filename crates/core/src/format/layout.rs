@@ -15,7 +15,6 @@
 
 use super::tile::EncodedTile;
 use super::{BLOCK_DIM, FRAG_DIM, FRAG_ELEMS, TC_DIM};
-use serde::{Deserialize, Serialize};
 use zipserv_bf16::{Bf16, Matrix};
 
 /// Number of bytes the value buffers are padded to per BlockTile (128-bit
@@ -66,7 +65,7 @@ pub fn tile_sequence(rows: usize, cols: usize) -> Vec<(usize, usize)> {
 }
 
 /// Storage-size breakdown of a compressed matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TbeStats {
     /// Original BF16 bytes.
     pub raw_bytes: usize,
@@ -128,7 +127,7 @@ pub struct TileView<'a> {
 }
 
 /// Per-BlockTile offsets into the two value arrays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockOffset {
     /// Byte offset of the block's PackedSignMantissa data.
     pub high_freq: u32,
@@ -140,7 +139,7 @@ pub struct BlockOffset {
 ///
 /// Produced by [`crate::TbeCompressor::compress`]; decompression and the
 /// fused GEMM consume it through [`TbeMatrix::tile_view`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TbeMatrix {
     rows: usize,
     cols: usize,
@@ -156,7 +155,6 @@ pub struct TbeMatrix {
     /// FragTiles per block (tiles at the matrix edge make ragged blocks).
     tiles_per_block: Vec<u32>,
     /// Cached per-tile offsets (derived, not counted as storage).
-    #[serde(skip)]
     tile_offsets: Vec<(u32, u32)>,
 }
 

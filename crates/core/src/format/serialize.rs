@@ -22,9 +22,8 @@
 //! [`to_bytes`] keeps writing version 1 so existing consumers and fixtures
 //! are untouched, and [`to_bytes_with_codec`] opts into version 2.
 
-use super::layout::{BlockOffset, TbeMatrix};
+use super::layout::{BlockOffset, TbeMatrix, PAD_BYTES};
 use crate::error::TbeError;
-use bytes::{BufMut, Bytes, BytesMut};
 use zipserv_entropy::rans::PlanarRansBlob;
 
 const MAGIC: &[u8; 4] = b"ZTBE";
@@ -75,64 +74,56 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Serializes a compressed matrix to its on-disk representation
 /// (version 1, raw sections — see [`to_bytes_with_codec`] for the
 /// entropy-coded variant).
-pub fn to_bytes(m: &TbeMatrix) -> Bytes {
+pub fn to_bytes(m: &TbeMatrix) -> Vec<u8> {
     to_bytes_with_codec(m, SectionCodec::Raw)
 }
 
 /// Serializes a compressed matrix, storing the high-frequency mantissa
 /// section under `codec`. [`SectionCodec::Raw`] writes the historical
 /// version-1 container byte for byte; any other codec writes version 2.
-pub fn to_bytes_with_codec(m: &TbeMatrix, codec: SectionCodec) -> Bytes {
-    let mut out = BytesMut::new();
-    out.put_slice(MAGIC);
-    out.put_u16_le(match codec {
+pub fn to_bytes_with_codec(m: &TbeMatrix, codec: SectionCodec) -> Vec<u8> {
+    let mut out = MAGIC.to_vec();
+    let version = match codec {
         SectionCodec::Raw => VERSION,
         SectionCodec::PlanarRans => VERSION_CODEC,
-    });
-    out.put_u8(m.base_exp());
-    out.put_u8(codec.to_byte());
-    out.put_u64_le(m.rows() as u64);
-    out.put_u64_le(m.cols() as u64);
+    };
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&[m.base_exp(), codec.to_byte()]);
+    out.extend_from_slice(&(m.rows() as u64).to_le_bytes());
+    out.extend_from_slice(&(m.cols() as u64).to_le_bytes());
 
     let (bitmaps, high_freq, fallback, blocks) = m.raw_parts();
-    out.put_u64_le(bitmaps.len() as u64);
-    for planes in bitmaps {
-        for &p in planes {
-            out.put_u64_le(p);
-        }
+    out.extend_from_slice(&(bitmaps.len() as u64).to_le_bytes());
+    for &p in bitmaps.iter().flatten() {
+        out.extend_from_slice(&p.to_le_bytes());
     }
-    match codec {
-        SectionCodec::Raw => {
-            out.put_u64_le(high_freq.len() as u64);
-            out.put_slice(high_freq);
+    // An empty section has nothing to entropy-code (and the codec rejects
+    // empty input); a zero length marks it.
+    let wire;
+    let section = match codec {
+        SectionCodec::PlanarRans if !high_freq.is_empty() => {
+            wire = PlanarRansBlob::compress(high_freq, PlanarRansBlob::DEFAULT_STREAMS)
+                .expect("non-empty section always compresses")
+                .to_wire();
+            &wire
         }
-        SectionCodec::PlanarRans => {
-            // An empty section has nothing to entropy-code (and the codec
-            // rejects empty input); a zero length marks it.
-            if high_freq.is_empty() {
-                out.put_u64_le(0);
-            } else {
-                let wire = PlanarRansBlob::compress(high_freq, PlanarRansBlob::DEFAULT_STREAMS)
-                    .expect("non-empty section always compresses")
-                    .to_wire();
-                out.put_u64_le(wire.len() as u64);
-                out.put_slice(&wire);
-            }
-        }
-    }
-    out.put_u64_le(fallback.len() as u64);
+        _ => high_freq,
+    };
+    out.extend_from_slice(&(section.len() as u64).to_le_bytes());
+    out.extend_from_slice(section);
+    out.extend_from_slice(&(fallback.len() as u64).to_le_bytes());
     for &v in fallback {
-        out.put_u16_le(v);
+        out.extend_from_slice(&v.to_le_bytes());
     }
-    out.put_u64_le(blocks.len() as u64);
+    out.extend_from_slice(&(blocks.len() as u64).to_le_bytes());
     for (off, tiles) in blocks {
-        out.put_u32_le(off.high_freq);
-        out.put_u32_le(off.fallback);
-        out.put_u32_le(tiles);
+        for v in [off.high_freq, off.fallback, tiles] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
     }
     let checksum = fnv1a(&out);
-    out.put_u64_le(checksum);
-    out.freeze()
+    out.extend_from_slice(&checksum.to_le_bytes());
+    out
 }
 
 /// Deserializes a `.ztbe` blob.
@@ -186,10 +177,25 @@ pub fn from_bytes(bytes: &[u8]) -> Result<TbeMatrix, TbeError> {
     let high_freq = match codec {
         SectionCodec::Raw => body.take(n_hf)?.to_vec(),
         SectionCodec::PlanarRans if n_hf == 0 => Vec::new(),
-        SectionCodec::PlanarRans => PlanarRansBlob::from_wire(body.take(n_hf)?)
-            .map_err(|_| TbeError::Corrupt("malformed entropy-coded section"))?
-            .decompress()
-            .map_err(|_| TbeError::Corrupt("entropy-coded section failed its checksum"))?,
+        SectionCodec::PlanarRans => {
+            let blob = PlanarRansBlob::from_wire(body.take(n_hf)?)
+                .map_err(|_| TbeError::Corrupt("malformed entropy-coded section"))?;
+            // The bitmaps just read fix the section's length: one byte per
+            // high-frequency element plus under `PAD_BYTES` of padding per
+            // block, with no more blocks than tiles. The frame's own
+            // count cannot be bounded by its payload (a constant section
+            // compresses to a few bytes), so refuse a larger one here,
+            // before `decompress` allocates it.
+            let n_elems: usize = bitmaps
+                .iter()
+                .map(|b| (b[0] | b[1] | b[2]).count_ones() as usize)
+                .sum();
+            if blob.symbol_count() > n_elems + n_tiles * (PAD_BYTES - 1) {
+                return Err(TbeError::Corrupt("entropy-coded section exceeds its tiles"));
+            }
+            blob.decompress()
+                .map_err(|_| TbeError::Corrupt("entropy-coded section failed its checksum"))?
+        }
     };
     let n_fb = body.count(2)?;
     let fallback: Vec<u16> = body
@@ -277,7 +283,7 @@ mod tests {
     #[test]
     fn forged_section_lengths_are_typed_errors_not_allocations() {
         let w = WeightGen::new(0.018).seed(60).matrix(16, 16);
-        let bytes = to_bytes(&TbeCompressor::new().compress(&w).unwrap()).to_vec();
+        let bytes = to_bytes(&TbeCompressor::new().compress(&w).unwrap());
         // Offsets of the four length fields (fixed 24-byte header first).
         let tiles_at = 24;
         let hf_at = tiles_at + 8 + 24 * u64_at(&bytes, tiles_at) as usize;
@@ -304,10 +310,22 @@ mod tests {
     fn forged_entropy_stream_count_is_a_typed_error() {
         let w = WeightGen::new(0.018).seed(61).matrix(16, 16);
         let tbe = TbeCompressor::new().compress(&w).unwrap();
-        let bytes = to_bytes_with_codec(&tbe, SectionCodec::PlanarRans).to_vec();
+        let bytes = to_bytes_with_codec(&tbe, SectionCodec::PlanarRans);
         let hf_at = 24 + 8 + 24 * u64_at(&bytes, 24) as usize;
         // The planar frame opens with its u32 stream count.
         let forged = forge(&bytes, hf_at + 8, &u32::MAX.to_le_bytes());
+        assert!(matches!(from_bytes(&forged), Err(TbeError::Corrupt(_))));
+    }
+
+    #[test]
+    fn forged_entropy_symbol_count_is_a_typed_error() {
+        let w = WeightGen::new(0.018).seed(62).matrix(16, 16);
+        let tbe = TbeCompressor::new().compress(&w).unwrap();
+        let bytes = to_bytes_with_codec(&tbe, SectionCodec::PlanarRans);
+        let hf_at = 24 + 8 + 24 * u64_at(&bytes, 24) as usize;
+        // The planar frame's u64 symbol count follows its u32 stream
+        // count; 2^40 would ask `decompress` for a terabyte.
+        let forged = forge(&bytes, hf_at + 8 + 4, &(1u64 << 40).to_le_bytes());
         assert!(matches!(from_bytes(&forged), Err(TbeError::Corrupt(_))));
     }
 
@@ -369,7 +387,7 @@ mod tests {
     fn inner_checksum_catches_payload_flip_behind_a_valid_outer_checksum() {
         let w = WeightGen::new(0.018).seed(60).matrix(128, 128);
         let tbe = TbeCompressor::new().compress(&w).unwrap();
-        let mut bytes = to_bytes_with_codec(&tbe, SectionCodec::PlanarRans).to_vec();
+        let mut bytes = to_bytes_with_codec(&tbe, SectionCodec::PlanarRans);
         // Flip a byte deep inside the entropy-coded payload, then re-fix
         // the outer FNV so the container-level integrity check passes —
         // the situation a buggy rewriter (or an attacker recomputing the
@@ -389,7 +407,7 @@ mod tests {
     fn corruption_detected() {
         let w = WeightGen::new(0.018).seed(57).matrix(64, 64);
         let tbe = TbeCompressor::new().compress(&w).unwrap();
-        let mut bytes = to_bytes(&tbe).to_vec();
+        let mut bytes = to_bytes(&tbe);
         // Flip a payload bit.
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
@@ -400,7 +418,7 @@ mod tests {
             Err(TbeError::Corrupt(_))
         ));
         // Bad magic.
-        let mut bad = to_bytes(&tbe).to_vec();
+        let mut bad = to_bytes(&tbe);
         bad[0] = b'X';
         assert!(from_bytes(&bad).is_err());
     }

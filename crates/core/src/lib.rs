@@ -42,7 +42,6 @@ pub mod decompress;
 mod error;
 pub mod format;
 pub mod kv;
-pub mod strategy;
 pub mod zipgemm;
 
 pub use compress::TbeCompressor;

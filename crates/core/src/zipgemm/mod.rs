@@ -172,8 +172,7 @@ impl ZipGemm {
         let (seq, panel) = (&seq, &panel);
 
         let chunk = tile_rows.div_ceil(workers);
-        let mut strips: Vec<(usize, Vec<f32>)> = Vec::new();
-        crossbeam::scope(|scope| {
+        let strips: Vec<(usize, Vec<f32>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|wi| {
                     // Clamp: the ceiling chunk can push trailing workers
@@ -181,7 +180,7 @@ impl ZipGemm {
                     // the row count below.
                     let start_tr = (wi * chunk).min(tile_rows);
                     let end_tr = ((wi + 1) * chunk).min(tile_rows);
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let rows = (end_tr - start_tr) * FRAG_DIM;
                         let mut local = vec![0f32; rows * n];
                         compute_strip(w, seq, panel, start_tr, end_tr, &mut local);
@@ -189,11 +188,11 @@ impl ZipGemm {
                     })
                 })
                 .collect();
-            for h in handles {
-                strips.push(h.join().expect("zipgemm worker panicked"));
-            }
-        })
-        .expect("zipgemm scope panicked");
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("zipgemm worker panicked"))
+                .collect()
+        });
 
         let mut y = Matrix::<f32>::zeros(m, n);
         for (start_tr, local) in strips {

@@ -408,6 +408,13 @@ impl PlanarRansBlob {
         self.payloads.len()
     }
 
+    /// Number of symbols the frame decodes to, as its header declares —
+    /// what [`PlanarRansBlob::decompress`] allocates before any checksum
+    /// can run.
+    pub fn symbol_count(&self) -> usize {
+        self.n_symbols
+    }
+
     /// Serializes the blob to a little-endian wire frame, for embedding in
     /// on-disk containers (the `.ztbe` format stores entropy-coded
     /// sections this way):

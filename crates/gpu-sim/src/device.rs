@@ -6,10 +6,8 @@
 //! spec-sheet peak, with achievable efficiency modeled separately in
 //! [`crate::memory`].
 
-use serde::{Deserialize, Serialize};
-
 /// GPU micro-architecture generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Arch {
     /// NVIDIA Ampere (A100).
     Ampere,
@@ -23,7 +21,7 @@ pub enum Arch {
 
 /// Market tier: the paper contrasts inference-optimized consumer parts with
 /// training-oriented datacenter parts (§6.3, §7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tier {
     /// Consumer / inference-optimized (GDDR memory, high clocks).
     Consumer,
@@ -32,7 +30,7 @@ pub enum Tier {
 }
 
 /// A complete device specification consumed by the cost model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     /// Marketing name.
     pub name: &'static str,
@@ -91,7 +89,7 @@ impl DeviceSpec {
 }
 
 /// The GPUs evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Gpu {
     /// NVIDIA GeForce RTX 4090 (Ada, 24 GB GDDR6X).
     Rtx4090,

@@ -7,10 +7,9 @@
 //! executor can price the decode workload.
 
 use crate::device::DeviceSpec;
-use serde::{Deserialize, Serialize};
 
 /// Instruction classes priced by the model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstrKind {
     /// Integer add / subtract.
     Iadd,
@@ -71,7 +70,7 @@ impl InstrKind {
 /// assert_eq!(mix.count(InstrKind::Popc), 64);
 /// assert_eq!(mix.total(), 192);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InstrMix {
     counts: [u64; 7],
 }

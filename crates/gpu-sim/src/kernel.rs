@@ -10,10 +10,9 @@ use crate::device::DeviceSpec;
 use crate::instr::InstrMix;
 use crate::memory::{DramTraffic, SharedMemTraffic};
 use crate::occupancy::LaunchGrid;
-use serde::{Deserialize, Serialize};
 
 /// How the kernel schedules its resource usage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExecutionMode {
     /// Software-pipelined: memory, ALU and Tensor-Core work overlap; the
     /// slowest resource bounds throughput (derated by `overlap_efficiency`).

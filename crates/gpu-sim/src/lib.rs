@@ -11,11 +11,10 @@
 //!   (RTX4090, L40S, RTX5090, A100, H800);
 //! * [`instr`] — instruction mixes and per-architecture ALU throughput;
 //! * [`memory`] — DRAM and shared-memory timing, including bank conflicts;
-//! * [`warp`] — SIMT lockstep execution with divergence penalties;
 //! * [`occupancy`] — block/wave quantization and tail effects;
-//! * [`pipeline`] — multi-stage double-buffered software pipelines;
-//! * [`kernel`] — the [`kernel::KernelProfile`] cost sheet and the
-//!   executor that turns it into microseconds;
+//! * [`kernel`] — the [`kernel::KernelProfile`] cost sheet (divergence
+//!   multiplier, pipelined or serial overlap) and the executor that turns
+//!   it into microseconds;
 //! * [`roofline`] — compute-intensity / attainable-performance analysis
 //!   (Figure 5, Equations 1–3).
 //!
@@ -31,10 +30,8 @@ pub mod instr;
 pub mod kernel;
 pub mod memory;
 pub mod occupancy;
-pub mod pipeline;
 pub mod roofline;
 pub mod stream;
-pub mod warp;
 
 pub use device::{DeviceSpec, Gpu};
 pub use kernel::{ExecutionMode, KernelProfile, KernelTime};

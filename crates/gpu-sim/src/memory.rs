@@ -2,10 +2,9 @@
 //! conflicts.
 
 use crate::device::DeviceSpec;
-use serde::{Deserialize, Serialize};
 
 /// Timing model for global-memory (DRAM) traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramTraffic {
     /// Bytes read from DRAM.
     pub read_bytes: u64,
@@ -72,7 +71,7 @@ impl DramTraffic {
 /// serialized transactions otherwise. DietGPU's table-driven decode incurs
 /// millions of conflicts (Figure 12(c)); TCA-TBE's 64-bit bitmap loads are
 /// conflict-free by construction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SharedMemTraffic {
     /// Number of warp-level shared-memory transactions.
     pub transactions: u64,

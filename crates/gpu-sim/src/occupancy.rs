@@ -7,10 +7,9 @@
 //! behind Figure 11's per-layer spread (and the O_proj slowdown case).
 
 use crate::device::{Arch, DeviceSpec};
-use serde::{Deserialize, Serialize};
 
 /// Per-block resource demands, for the CUDA-style occupancy calculation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockResources {
     /// Threads per block.
     pub threads: u32,
@@ -75,7 +74,7 @@ impl BlockResources {
 }
 
 /// A block-level launch configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaunchGrid {
     /// Total thread blocks launched.
     pub blocks: u64,

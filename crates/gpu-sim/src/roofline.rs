@@ -11,10 +11,9 @@
 //! * **ZipServ fused** (Eq. 3): reads only `2MK/CR + 2KN`, writes `2MN`.
 
 use crate::device::DeviceSpec;
-use serde::{Deserialize, Serialize};
 
 /// A GEMM problem shape (`Y = W·X`, `W: M×K`, `X: K×N`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GemmShape {
     /// Output rows (weight matrix rows).
     pub m: u64,
@@ -57,7 +56,7 @@ impl GemmShape {
 }
 
 /// Which pipeline the compute-intensity formula describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PipelineKind {
     /// Plain dense GEMM on uncompressed weights (Eq. 1).
     DenseGemm,
@@ -102,7 +101,7 @@ pub fn is_memory_bound(spec: &DeviceSpec, ci_flops_per_byte: f64) -> bool {
 }
 
 /// One row of the Figure 5 dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RooflinePoint {
     /// Tokens in flight.
     pub n: u64,

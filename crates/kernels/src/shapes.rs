@@ -2,12 +2,11 @@
 //! benchmarked in §6.1, plus the model-level metadata the serving substrate
 //! needs.
 
-use serde::{Deserialize, Serialize};
 use zipserv_bf16::gen::ModelFamily;
 use zipserv_gpu_sim::roofline::GemmShape;
 
 /// The LLMs whose layer shapes the paper benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LlmModel {
     /// LLaMA-3.1-8B.
     Llama31_8b,
@@ -34,7 +33,7 @@ pub enum LlmModel {
 }
 
 /// Architecture hyper-parameters of one model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ModelDims {
     /// Hidden size.
     pub hidden: u64,
@@ -241,7 +240,7 @@ impl core::fmt::Display for LlmModel {
 }
 
 /// The linear layers profiled within a transformer block (§6.1 workloads).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// Merged query/key/value projection.
     QkvProj,

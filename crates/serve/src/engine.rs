@@ -581,9 +581,8 @@ impl ServingEngine {
     }
 
     /// Runs an online arrival trace to completion under this engine's
-    /// scheduling policy — the builder-era replacement for
-    /// `ContinuousBatcher::new(&engine).run(arrivals)`. Consumes the
-    /// engine's [`FaultPlan`] (a no-op when empty: bit-identical reports).
+    /// scheduling policy and batch cap. Consumes the engine's
+    /// [`FaultPlan`] (a no-op when empty: bit-identical reports).
     pub fn serve_online(&self, arrivals: Vec<Request>) -> ScheduleReport {
         run_policy_faulted(
             self,

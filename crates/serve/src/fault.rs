@@ -21,9 +21,9 @@
 //!   the host copy.
 //!
 //! Plans are plain data and deterministic: the same plan over the same
-//! arrivals yields bit-identical reports, and the *empty* plan is
-//! guaranteed bit-identical to the pre-fault scheduler (pinned by the
-//! `fault_recovery` suite).
+//! arrivals yields bit-identical reports, and the *empty* plan leaves
+//! every fault book at its identity, so it changes no report (pinned by
+//! the `fault_recovery` suite).
 
 use crate::scheduler::UniformStream;
 use std::collections::BTreeSet;

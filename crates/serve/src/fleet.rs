@@ -954,4 +954,43 @@ mod tests {
         assert!((report.availability() - 1.0).abs() < 1e-12);
         assert_eq!(report.route_policy, "least-kv-pressure");
     }
+
+    #[test]
+    fn imbalance_ratio_is_max_over_mean_output_tokens() {
+        let engine = test_engine();
+        // A replica report whose completions generated `outputs` tokens.
+        let replica = |outputs: &[u64]| {
+            let mut r = engine.serve_online(Vec::new());
+            r.completions = outputs
+                .iter()
+                .map(|&output_len| Completion {
+                    id: 0,
+                    priority: PriorityClass::Standard,
+                    queue_s: 0.0,
+                    latency_s: 1.0,
+                    ttft_s: 1.0,
+                    preemptions: 0,
+                    slo_met: None,
+                    output_len,
+                    retries: 0,
+                })
+                .collect();
+            r
+        };
+        let fleet = |per_replica: Vec<ScheduleReport>| FleetReport {
+            per_replica,
+            rejections: Vec::new(),
+            autoscale_events: Vec::new(),
+            route_policy: String::new(),
+        };
+        // Loads 30/10/20: max 30 over mean 20. Max over min would be 3.0,
+        // min over mean 0.5.
+        let skewed = fleet(vec![replica(&[10, 20]), replica(&[10]), replica(&[20])]);
+        assert_eq!(skewed.imbalance_ratio(), 1.5);
+        assert_eq!(fleet(Vec::new()).imbalance_ratio(), 1.0);
+        assert_eq!(
+            fleet(vec![replica(&[]), replica(&[0])]).imbalance_ratio(),
+            1.0
+        );
+    }
 }

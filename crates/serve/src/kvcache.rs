@@ -55,7 +55,7 @@ pub struct PagedKvCache {
     tables: HashMap<u64, SeqState>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct SeqState {
     pages: Vec<u64>,
     tokens: u64,
@@ -225,108 +225,135 @@ impl PagedKvCache {
 /// `layers % pp != 0`, some ranks carry more bytes per token and run out
 /// of pages first; [`KvShards::capacity_tokens`] is therefore the *minimum*
 /// over ranks.
+///
+/// Pages count tokens, not bytes, so ranks that start from the same tables
+/// and see the same mirrored operations keep identical tables and differ
+/// only in capacity: such a cohort shares one allocator, and each operation
+/// runs once per cohort, not once per rank. A failed rank leaves its
+/// cohort; a repaired one rejoins cold in a cohort of its own.
 #[derive(Debug, Clone)]
 pub struct KvShards {
-    shards: Vec<PagedKvCache>,
-    /// `true` for ranks whose device memory is lost (failed GPU). Mirrored
-    /// operations skip invalidated ranks so an in-flight release/fork
-    /// cannot leak pages on the survivors.
-    invalidated: Vec<bool>,
+    /// Each cohort's shared allocator, at its smallest member's capacity,
+    /// and its alive member ranks in ascending order.
+    cohorts: Vec<(PagedKvCache, Vec<usize>)>,
+    /// Page capacity of each rank.
+    rank_pages: Vec<u64>,
 }
 
 impl KvShards {
-    /// Wraps explicit per-rank allocators.
+    /// Wraps explicit per-rank allocators, grouping identical ones.
     ///
     /// # Panics
     ///
     /// Panics if `shards` is empty.
     pub fn new(shards: Vec<PagedKvCache>) -> Self {
         assert!(!shards.is_empty(), "deployment needs at least one rank");
-        let invalidated = vec![false; shards.len()];
+        let rank_pages = shards.iter().map(PagedKvCache::total_pages).collect();
+        let mut cohorts: Vec<(PagedKvCache, Vec<usize>)> = Vec::new();
+        for (rank, kv) in shards.into_iter().enumerate() {
+            let same_tables = |c: &PagedKvCache| {
+                (c.next_fresh, &c.free_list, &c.ref_counts, &c.tables)
+                    == (kv.next_fresh, &kv.free_list, &kv.ref_counts, &kv.tables)
+            };
+            match cohorts.iter_mut().find(|(c, _)| same_tables(c)) {
+                Some((c, members)) => {
+                    c.total_pages = c.total_pages.min(kv.total_pages);
+                    members.push(rank);
+                }
+                None => cohorts.push((kv, vec![rank])),
+            }
+        }
         KvShards {
-            shards,
-            invalidated,
+            cohorts,
+            rank_pages,
         }
     }
 
     /// Number of ranks.
     pub fn ranks(&self) -> usize {
-        self.shards.len()
+        self.rank_pages.len()
     }
 
     /// Number of ranks still holding valid KV (not invalidated).
     pub fn alive_ranks(&self) -> usize {
-        self.invalidated.iter().filter(|&&x| !x).count()
+        self.cohorts.iter().map(|(_, members)| members.len()).sum()
     }
 
     /// Whether rank `idx` has been invalidated by a fault.
     pub fn is_invalidated(&self, idx: usize) -> bool {
-        self.invalidated.get(idx).copied().unwrap_or(false)
+        idx < self.ranks() && self.cohort_of(idx).is_none()
     }
 
-    /// Read-only view of one rank's allocator.
-    pub fn rank(&self, idx: usize) -> &PagedKvCache {
-        &self.shards[idx]
+    /// A copy of one rank's allocator: its cohort's tables at its own
+    /// capacity, empty once invalidated.
+    pub fn rank(&self, idx: usize) -> PagedKvCache {
+        let cohort = self.cohort_of(idx);
+        let mut kv = cohort.map_or(PagedKvCache::new(0, 1), |c| self.cohorts[c].0.clone());
+        kv.total_pages = self.rank_pages[idx];
+        kv
     }
 
-    /// Marks a rank's KV shard as lost ([`FaultKind::RankFail`]
-    /// (crate::fault::FaultKind)): its allocator is reset (pages freed,
-    /// sequences dropped) and every subsequent mirrored operation skips it
-    /// until [`KvShards::repair_rank`]. Returns `false` if the rank index
-    /// is out of range or already invalidated.
+    /// Index of the cohort holding rank `idx`; `None` once invalidated.
+    fn cohort_of(&self, idx: usize) -> Option<usize> {
+        self.cohorts.iter().position(|(_, m)| m.contains(&idx))
+    }
+
+    /// Marks a rank's KV shard as lost
+    /// ([`FaultKind::RankFail`](crate::fault::FaultKind::RankFail)): it
+    /// leaves its cohort (its pages read free, its sequences gone) and
+    /// every later mirrored operation skips it until [`KvShards::repair_rank`].
+    /// Returns `false` if the rank index is out of range or already invalidated.
     pub fn invalidate_rank(&mut self, idx: usize) -> bool {
-        if idx >= self.shards.len() || self.invalidated[idx] {
+        let Some(c) = self.cohort_of(idx) else {
             return false;
+        };
+        let (kv, members) = &mut self.cohorts[c];
+        members.retain(|&r| r != idx);
+        match members.iter().map(|&r| self.rank_pages[r]).min() {
+            Some(pages) => kv.total_pages = pages,
+            None => {
+                self.cohorts.remove(c);
+            }
         }
-        self.shards[idx].reset();
-        self.invalidated[idx] = true;
         true
     }
 
     /// Brings an invalidated rank back: its allocator rejoins *cold*
-    /// (reset, then re-registered with zero tokens for every sequence live
+    /// (empty, then registered with zero tokens for every sequence live
     /// on the surviving ranks — their KV must be recomputed by prefill).
     /// Returns `false` if the rank is in range but not invalidated.
     pub fn repair_rank(&mut self, idx: usize) -> bool {
-        if idx >= self.shards.len() || !self.invalidated[idx] {
+        if !self.is_invalidated(idx) {
             return false;
         }
-        let live: Vec<u64> = match self.first_alive() {
-            Some(r) => self.shards[r].tables.keys().copied().collect(),
-            None => Vec::new(),
-        };
-        self.shards[idx].reset();
-        for seq in live {
-            self.shards[idx].register(seq);
+        let mut kv = PagedKvCache::new(self.rank_pages[idx] * PAGE_TOKENS, 1);
+        if let Some(alive) = self.first_alive() {
+            for &seq in alive.tables.keys() {
+                kv.register(seq);
+            }
         }
-        self.invalidated[idx] = false;
+        self.cohorts.push((kv, vec![idx]));
         true
     }
 
-    /// Index of the first non-invalidated rank, if any.
-    fn first_alive(&self) -> Option<usize> {
-        self.invalidated.iter().position(|&x| !x)
+    /// The allocator of the lowest-numbered alive rank, if any.
+    fn first_alive(&self) -> Option<&PagedKvCache> {
+        let first = self.cohorts.iter().min_by_key(|(_, m)| m[0]);
+        first.map(|(kv, _)| kv)
     }
 
     /// Deployment-wide token capacity: the minimum across *alive* ranks
     /// (the first rank to exhaust its pages stalls every other rank).
     /// Zero when every rank is invalidated — nothing can be admitted.
     pub fn capacity_tokens(&self) -> u64 {
-        self.shards
-            .iter()
-            .zip(&self.invalidated)
-            .filter(|(_, &dead)| !dead)
-            .map(|(s, _)| s.capacity_tokens())
-            .min()
-            .unwrap_or(0)
+        let capacities = self.cohorts.iter().map(|(kv, _)| kv.capacity_tokens());
+        capacities.min().unwrap_or(0)
     }
 
     /// Registers a sequence on every alive rank.
     pub fn register(&mut self, seq: u64) {
-        for (s, &dead) in self.shards.iter_mut().zip(&self.invalidated) {
-            if !dead {
-                s.register(seq);
-            }
+        for (kv, _) in &mut self.cohorts {
+            kv.register(seq);
         }
     }
 
@@ -339,19 +366,17 @@ impl KvShards {
     /// every rank is invalidated); [`KvError::OutOfPages`] if any alive
     /// rank lacks free pages.
     pub fn append(&mut self, seq: u64, tokens: u64) -> Result<(), KvError> {
-        if self.first_alive().is_none() {
+        if self.cohorts.is_empty() {
             return Err(KvError::UnknownSequence);
         }
-        for (s, &dead) in self.shards.iter().zip(&self.invalidated) {
-            if !dead && s.pages_needed(seq, tokens)? > s.free_pages() {
+        for (kv, _) in &self.cohorts {
+            if kv.pages_needed(seq, tokens)? > kv.free_pages() {
                 return Err(KvError::OutOfPages);
             }
         }
-        for (s, &dead) in self.shards.iter_mut().zip(&self.invalidated) {
-            if !dead {
-                s.append(seq, tokens)
-                    .expect("checked every alive rank above");
-            }
+        for (kv, _) in &mut self.cohorts {
+            kv.append(seq, tokens)
+                .expect("checked every alive rank above");
         }
         Ok(())
     }
@@ -367,32 +392,27 @@ impl KvShards {
     /// alive rank (or every rank is invalidated);
     /// [`KvError::SequenceExists`] if the child id is taken on any.
     pub fn fork(&mut self, parent: u64, child: u64) -> Result<(), KvError> {
-        if self.first_alive().is_none() {
+        if self.cohorts.is_empty() {
             return Err(KvError::UnknownSequence);
         }
-        for (s, &dead) in self.shards.iter().zip(&self.invalidated) {
-            if dead {
-                continue;
-            }
-            if s.tables.contains_key(&child) {
+        for (kv, _) in &self.cohorts {
+            if kv.tables.contains_key(&child) {
                 return Err(KvError::SequenceExists);
             }
-            if !s.tables.contains_key(&parent) {
+            if !kv.tables.contains_key(&parent) {
                 return Err(KvError::UnknownSequence);
             }
         }
-        for (s, &dead) in self.shards.iter_mut().zip(&self.invalidated) {
-            if !dead {
-                s.fork(parent, child)
-                    .expect("checked every alive rank above");
-            }
+        for (kv, _) in &mut self.cohorts {
+            kv.fork(parent, child)
+                .expect("checked every alive rank above");
         }
         Ok(())
     }
 
     /// Releases a sequence on every alive rank, atomically: every alive
     /// rank must know the sequence before any rank frees it. Invalidated
-    /// ranks are skipped — their allocators were reset when the rank died,
+    /// ranks are skipped — their tables were dropped when the rank died,
     /// so demanding the sequence there would fail every release issued
     /// after a mid-flight failure and leak the survivors' pages forever
     /// (the refcount-leak regression pinned by the chaos suite).
@@ -402,21 +422,12 @@ impl KvShards {
     /// [`KvError::UnknownSequence`] if unregistered on any alive rank (or
     /// every rank is invalidated).
     pub fn release(&mut self, seq: u64) -> Result<(), KvError> {
-        if self.first_alive().is_none() {
+        let known = |(kv, _): &(PagedKvCache, Vec<usize>)| kv.tables.contains_key(&seq);
+        if self.cohorts.is_empty() || !self.cohorts.iter().all(known) {
             return Err(KvError::UnknownSequence);
         }
-        if self
-            .shards
-            .iter()
-            .zip(&self.invalidated)
-            .any(|(s, &dead)| !dead && !s.tables.contains_key(&seq))
-        {
-            return Err(KvError::UnknownSequence);
-        }
-        for (s, &dead) in self.shards.iter_mut().zip(&self.invalidated) {
-            if !dead {
-                s.release(seq).expect("checked every alive rank above");
-            }
+        for (kv, _) in &mut self.cohorts {
+            kv.release(seq).expect("checked every alive rank above");
         }
         Ok(())
     }
@@ -425,25 +436,27 @@ impl KvShards {
     /// (identical on every rank that has not rejoined cold after a
     /// repair). `None` when every rank is invalidated.
     pub fn tokens(&self, seq: u64) -> Option<u64> {
-        self.shards[self.first_alive()?].tokens(seq)
+        self.first_alive()?.tokens(seq)
     }
 
     /// Live occupancy of rank `idx` in `[0, 1]`: `1 − free_pages /
     /// total_pages` for an alive rank, `1.0` for an invalidated (or
     /// zero-capacity) one — a dead rank admits nothing, so a router reading
-    /// pressure steers away from it. O(1): both page counters are reads
-    /// off the lazy free-list, which is what makes least-KV-pressure
-    /// routing affordable per arrival.
+    /// pressure steers away from it. Cheap: a cohort lookup and two page
+    /// counters off the lazy free-list, which is what makes
+    /// least-KV-pressure routing affordable per arrival.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
     pub fn rank_pressure(&self, idx: usize) -> f64 {
-        let s = &self.shards[idx];
-        if self.invalidated[idx] || s.total_pages() == 0 {
-            1.0
-        } else {
-            1.0 - s.free_pages() as f64 / s.total_pages() as f64
+        let total = self.rank_pages[idx];
+        match self.cohort_of(idx) {
+            Some(c) if total > 0 => {
+                let kv = &self.cohorts[c].0;
+                1.0 - (kv.free_list.len() as u64 + (total - kv.next_fresh)) as f64 / total as f64
+            }
+            _ => 1.0,
         }
     }
 }

@@ -4,7 +4,6 @@
 
 use crate::policy::PriorityClass;
 use crate::scheduler::Completion;
-use serde::Serialize;
 
 /// Percentile (`q` in `[0, 1]`) of a finite sample, nearest-rank (ceil
 /// convention) on the sorted values: the smallest value with at least
@@ -47,7 +46,7 @@ pub fn slo_attainment<'a>(completions: impl IntoIterator<Item = &'a Completion>)
 }
 
 /// Scheduling outcomes for one priority class within a run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassStats {
     /// The priority class summarized.
     pub class: PriorityClass,
@@ -96,7 +95,7 @@ impl ClassStats {
 }
 
 /// One decode step's time breakdown in milliseconds (Figure 17, left).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StepBreakdown {
     /// Linear layers (fused ZipGEMM + residual dense GEMMs, or all dense).
     pub linear_ms: f64,
@@ -149,7 +148,7 @@ impl StepBreakdown {
 /// Robustness accounting for one scheduled run under fault injection
 /// (all-zero — the `Default` — for clean runs, preserving bit-compatible
 /// reports when the [`FaultPlan`](crate::fault::FaultPlan) is empty).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RobustnessStats {
     /// Fault events applied during the run.
     pub faults_injected: u64,
@@ -192,7 +191,7 @@ impl RobustnessStats {
 }
 
 /// The end-to-end result of serving one workload (one Figure 16 point).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunReport {
     /// Prefill latency in seconds.
     pub prefill_s: f64,

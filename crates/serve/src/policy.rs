@@ -8,8 +8,8 @@
 //!
 //! Four policies ship in-tree:
 //!
-//! * [`Fcfs`] — first-come-first-served, bit-compatible with the legacy
-//!   [`crate::scheduler::ContinuousBatcher`];
+//! * [`Fcfs`] — first-come-first-served, matching a straight-line FCFS
+//!   oracle bit for bit;
 //! * [`Priority`] — strict priority tiers with starvation aging;
 //! * [`SloEdf`] — earliest-deadline-first against per-request TTFT SLOs;
 //! * [`PreemptiveSjf`] — shortest-remaining-output-first with KV-cache-aware
@@ -248,11 +248,12 @@ pub trait SchedulePolicy: core::fmt::Debug + Send + Sync {
         PreemptionMode::Recompute
     }
 
-    /// Which cached prefix the [`PrefixRegistry`](crate::kvcache::
-    /// PrefixRegistry) evicts under pressure — the scheduling policy's
-    /// answer to "which victim" for page reclamation. The conservative
-    /// default never disturbs prefixes pinned by live forks; work-
-    /// conserving policies (SJF) may prefer reclaiming any LRU entry.
+    /// Which cached prefix the
+    /// [`PrefixRegistry`](crate::kvcache::PrefixRegistry) evicts under
+    /// pressure — the scheduling policy's answer to "which victim" for
+    /// page reclamation. The conservative default never disturbs prefixes
+    /// pinned by live forks; work-conserving policies (SJF) may prefer
+    /// reclaiming any LRU entry.
     fn prefix_victim(&self) -> PrefixVictim {
         PrefixVictim::ColdPrefix
     }
@@ -269,12 +270,11 @@ impl Clone for Box<dyn SchedulePolicy> {
 
 /// First-come-first-served admission, no preemption.
 ///
-/// Under this policy the generic loop reproduces the legacy
-/// [`crate::scheduler::ContinuousBatcher`] *bit for bit* (verified by the
-/// `schedule_policies` proptest suite): the head of the arrival-ordered
-/// queue is the only admission candidate — including ties, which keep the
-/// legacy stable-sort submission order — so a head request that does not
-/// fit blocks everything behind it, exactly like the old hard-coded loop.
+/// Under this policy the generic loop matches a straight-line FCFS oracle
+/// *bit for bit* (verified by the `schedule_policies` proptest suite): the
+/// head of the arrival-ordered queue is the only admission candidate —
+/// including ties, which keep the stable-sort submission order — so a head
+/// request that does not fit blocks everything behind it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Fcfs;
 

@@ -11,7 +11,7 @@
 //! replicas on one clock; [`run_policy_faulted`] runs it over a whole trace.
 //!
 //! Admission order and preemption are delegated to a pluggable
-//! [`SchedulePolicy`](crate::policy::SchedulePolicy); see [`crate::policy`]
+//! [`SchedulePolicy`]; see [`crate::policy`]
 //! for the four in-tree policies and
 //! [`ServingEngine::builder`](crate::engine::ServingEngine::builder) for the
 //! fluent way to wire one up.
@@ -23,7 +23,7 @@ use crate::fault::{
 use crate::kvcache::{KvShards, PrefixRegistry, PrefixStats};
 use crate::metrics::{percentile, ClassStats, RobustnessStats};
 use crate::policy::{
-    Fcfs, PreemptionMode, PriorityClass, QueuedRequest, RunningRequest, SchedulePolicy, Slo,
+    PreemptionMode, PriorityClass, QueuedRequest, RunningRequest, SchedulePolicy, Slo,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -142,8 +142,7 @@ pub struct ScheduleReport {
     /// Decode-side communication time charged across the run (s): the
     /// tensor-parallel all-reduce plus pipeline activation-hop share of
     /// every decode step the scheduler billed. Zero on single-GPU
-    /// deployments; the legacy [`ContinuousBatcher::run_reference`] shim
-    /// predates comm accounting and always reports zero.
+    /// deployments.
     pub comm_s: f64,
     /// Total preemptions across the run.
     pub preemptions: u64,
@@ -155,8 +154,7 @@ pub struct ScheduleReport {
     /// past the retry cap, brownout sheds, lost capacity, policy holds.
     pub rejections: Vec<Rejection>,
     /// Robustness accounting under fault injection. All-zero (the
-    /// `Default`) on clean runs, preserving bit-compatible reports when
-    /// the [`FaultPlan`] is empty.
+    /// `Default`) when the [`FaultPlan`] is empty.
     pub robustness: RobustnessStats,
     /// Step-cache observability: how often the scheduler re-priced a
     /// decode step versus reusing a cached one. Purely diagnostic — the
@@ -359,41 +357,6 @@ pub fn poisson_arrivals(
         .collect()
 }
 
-/// Builds the final report shared by the generic and reference loops.
-#[allow(clippy::too_many_arguments)]
-fn finish_report(
-    policy: &str,
-    now: f64,
-    output_tokens: u64,
-    peak_batch: usize,
-    comm_s: f64,
-    preemptions: u64,
-    rejections: Vec<Rejection>,
-    robustness: RobustnessStats,
-    step_cache: StepCacheStats,
-    prefix: PrefixStats,
-    completions: Vec<Completion>,
-) -> ScheduleReport {
-    ScheduleReport {
-        duration_s: now,
-        throughput_tps: if now > 0.0 {
-            output_tokens as f64 / now
-        } else {
-            0.0
-        },
-        peak_batch,
-        comm_s,
-        preemptions,
-        rejected: rejections.iter().map(|r| r.id).collect(),
-        rejections,
-        robustness,
-        step_cache,
-        prefix,
-        policy: policy.to_string(),
-        completions,
-    }
-}
-
 /// Turns a finished in-flight record into a completion at time `now`.
 fn complete(f: &RunningRequest, now: f64) -> Completion {
     // A finished request always produced at least one token; fall back to
@@ -438,9 +401,9 @@ fn complete(f: &RunningRequest, now: f64) -> Completion {
 /// sole occupant is reported in [`ScheduleReport::rejected`] rather than
 /// looping forever.
 ///
-/// Under [`Fcfs`] this loop is bit-compatible with the legacy
-/// [`ContinuousBatcher::run_reference`] on arrival-sorted traces (verified
-/// by proptest in the `schedule_policies` suite).
+/// Under [`Fcfs`](crate::policy::Fcfs) the loop is plain FCFS continuous
+/// batching; the `schedule_policies` suite holds it, by proptest, to a
+/// straight-line FCFS oracle built on the engine's public cost model.
 pub fn run_policy(
     engine: &ServingEngine,
     policy: &dyn SchedulePolicy,
@@ -592,8 +555,6 @@ pub struct SchedulerState<'a> {
     max_batch: usize,
     events: &'a [FaultEvent],
     retry: &'a RetryPolicy,
-    /// An empty fault plan: every fault branch is skipped.
-    clean: bool,
     capacity: u64,
     next_event: usize,
     books: FaultBooks,
@@ -667,7 +628,6 @@ impl<'a> SchedulerState<'a> {
             max_batch,
             events: plan.events(),
             retry,
-            clean: plan.is_empty(),
             capacity: engine.kv_capacity_tokens(),
             next_event: 0,
             books: FaultBooks {
@@ -748,32 +708,35 @@ impl<'a> SchedulerState<'a> {
             assert_eq!(resolved, self.pushed, "every arrival resolves exactly once");
         }
 
+        // Close the books: a run can end while degraded or with a recovery
+        // window still open (every victim rejected late in the run).
         let mut rob = self.books.rob;
-        if !self.clean {
-            // Close the books: a run can end while degraded or with a
-            // recovery window still open (every victim rejected late in
-            // the run).
-            if !self.books.state.dead.is_empty() {
-                rob.downtime_s += self.now - self.books.state.degraded_since;
-            }
-            if let Some(t0) = self.books.recover_started.take() {
-                rob.time_to_recover_s += self.now - t0;
-                rob.recoveries += 1;
-            }
+        if !self.books.state.dead.is_empty() {
+            rob.downtime_s += self.now - self.books.state.degraded_since;
         }
-        finish_report(
-            self.policy.name(),
-            self.now,
-            self.output_tokens,
-            self.peak_batch,
-            self.comm_s,
-            self.preemptions,
-            self.rejections,
-            rob,
-            self.cache_stats,
-            self.registry.map(|r| r.stats()).unwrap_or_default(),
-            self.completions,
-        )
+        if let Some(t0) = self.books.recover_started {
+            rob.time_to_recover_s += self.now - t0;
+            rob.recoveries += 1;
+        }
+        let now = self.now;
+        ScheduleReport {
+            duration_s: now,
+            throughput_tps: if now > 0.0 {
+                self.output_tokens as f64 / now
+            } else {
+                0.0
+            },
+            peak_batch: self.peak_batch,
+            comm_s: self.comm_s,
+            preemptions: self.preemptions,
+            rejected: self.rejections.iter().map(|r| r.id).collect(),
+            rejections: self.rejections,
+            robustness: rob,
+            step_cache: self.cache_stats,
+            prefix: self.registry.map(|r| r.stats()).unwrap_or_default(),
+            policy: self.policy.name().to_string(),
+            completions: self.completions,
+        }
     }
 
     /// Requests the scheduler holds: queued, running, and pushed but not
@@ -913,9 +876,12 @@ impl<'a> SchedulerState<'a> {
         }
         // Backoff gating: fault victims waiting out their backoff are
         // invisible to the policy until `not_before_s`. While every queued
-        // request is eligible (always, on the clean path, where every
-        // `not_before_s` is 0) the view is the plain arrived queue.
-        let picked = if self.clean || self.pending.iter().all(|p| p.not_before_s <= self.now) {
+        // request is eligible (always while no victim is outstanding: only
+        // a victim's `not_before_s` is nonzero) the view is the plain
+        // arrived queue.
+        let picked = if self.books.victims_outstanding.is_empty()
+            || self.pending.iter().all(|p| p.not_before_s <= self.now)
+        {
             self.policy.select(&self.pending, &self.running, self.now)
         } else {
             let eligible: Vec<usize> = (0..self.pending.len())
@@ -952,9 +918,7 @@ impl<'a> SchedulerState<'a> {
                 reason: RejectReason::Oversized,
             });
             self.pending.remove(pick);
-            if !self.clean {
-                self.books.resolve_victim(cand.req.id, self.now);
-            }
+            self.books.resolve_victim(cand.req.id, self.now);
             return Pass::Again;
         }
 
@@ -962,8 +926,7 @@ impl<'a> SchedulerState<'a> {
         // (Batch-class) arrivals are shed so the degraded capacity serves
         // SLO-carrying traffic; fault victims keep their retry path
         // regardless of class.
-        if !self.clean
-            && !self.books.state.dead.is_empty()
+        if !self.books.state.dead.is_empty()
             && cand.retries == 0
             && cand.req.priority == PriorityClass::Batch
         {
@@ -978,7 +941,7 @@ impl<'a> SchedulerState<'a> {
 
         // Capacity re-planned around dead ranks (integer scaling; full
         // capacity — the same u64 — while every rank is alive).
-        let cap_now = if self.clean || self.books.state.dead.is_empty() {
+        let cap_now = if self.books.state.dead.is_empty() {
             self.capacity
         } else {
             self.books.state.scaled_capacity(self.capacity)
@@ -1074,22 +1037,17 @@ impl<'a> SchedulerState<'a> {
                 s.unreserve(cand.req.id);
             }
         }
-        if self.stream.is_some() && self.clean && self.running.is_empty() {
-            // A lone non-oversized candidate always fits empty shards on a
-            // clean deployment (the scalar capacity is the min over
-            // per-rank shard capacities), so this is unreachable — but a
-            // silent hold here would spin forever, so shed with a typed
-            // rejection instead.
-            debug_assert!(false, "lone candidate refused by empty shards");
-            self.reject(cand.req.id, RejectReason::CapacityLost);
-            self.pending.remove(cand_idx);
-            return Pass::Again;
-        }
-        if !self.clean && self.running.is_empty() {
-            // Degraded capacity cannot hold even a lone candidate that fits
-            // the healthy deployment. Wait for the next fault event (a
-            // repair restores capacity); with none left, the capacity is
-            // gone for good — typed rejection, not an infinite stall.
+        if self.running.is_empty() {
+            // With every rank alive a lone non-oversized candidate always
+            // fits: the scalar capacity is the min over per-rank shard
+            // capacities. So only degraded capacity refuses one. Wait for
+            // the next fault event (a repair restores capacity); with none
+            // left, the capacity is gone for good — typed rejection, not an
+            // infinite stall.
+            debug_assert!(
+                !self.books.state.dead.is_empty(),
+                "lone candidate refused with every rank alive"
+            );
             if let Some(ev) = self.events.get(self.next_event) {
                 self.now = self.now.max(ev.at_s);
                 self.faults_due();
@@ -1121,16 +1079,14 @@ impl<'a> SchedulerState<'a> {
     fn admit(&mut self, cand_idx: usize, cand: QueuedRequest) {
         debug_assert_eq!(self.pending[cand_idx], cand, "candidate index tracked");
         let q = self.pending.remove(cand_idx);
-        if !self.clean {
-            self.books.resolve_victim(q.req.id, self.now);
-        }
+        self.books.resolve_victim(q.req.id, self.now);
         // Prefix-cache lookup: a fresh prefill that declares a shared
         // prefix may fork the cached copy and prefill only the suffix.
         // Fault-retry recomputes stay full-price — the dead rank's KV
         // (cached prefixes included) is gone.
         let mut prefix_saved = 0u64;
         if let Some(reg) = self.registry.as_mut() {
-            if q.resume_generated == 0 && (self.clean || q.retries == 0) {
+            if q.resume_generated == 0 && q.retries == 0 {
                 prefix_saved = reg.admit(
                     q.req.id,
                     q.req.prefix_hash,
@@ -1140,7 +1096,7 @@ impl<'a> SchedulerState<'a> {
             }
         }
         let engine = self.engine;
-        let mut cost = if !self.clean && q.retries > 0 {
+        let mut cost = if q.retries > 0 {
             self.books.rob.recomputed_tokens += q.kv_tokens_on_admit();
             engine.prefill_ms(1, q.kv_tokens_on_admit()) / 1e3
         } else if q.resume_generated == 0 {
@@ -1153,7 +1109,7 @@ impl<'a> SchedulerState<'a> {
                 PreemptionMode::PageOut => engine.kv_swap_s(q.kv_tokens_on_admit()),
             }
         };
-        if !self.clean && !self.books.state.dead.is_empty() {
+        if !self.books.state.dead.is_empty() {
             cost *= self.books.state.compute_slowdown();
         }
         // Streaming mode defers a *fresh* prefill: instead of charging the
@@ -1191,19 +1147,17 @@ impl<'a> SchedulerState<'a> {
     /// the next fault event (a repair can end a brownout).
     fn hold(&mut self) -> Pass {
         let mut wake = self.arrivals.front().map(|r| r.arrival_s);
-        if !self.clean {
-            let backoff = self
-                .pending
-                .iter()
-                .map(|p| p.not_before_s)
-                .filter(|&t| t > self.now)
-                .fold(f64::INFINITY, f64::min);
-            if backoff.is_finite() {
-                wake = Some(wake.map_or(backoff, |w| w.min(backoff)));
-            }
-            if let Some(ev) = self.events.get(self.next_event) {
-                wake = Some(wake.map_or(ev.at_s, |w| w.min(ev.at_s)));
-            }
+        let backoff = self
+            .pending
+            .iter()
+            .map(|p| p.not_before_s)
+            .filter(|&t| t > self.now)
+            .fold(f64::INFINITY, f64::min);
+        if backoff.is_finite() {
+            wake = Some(wake.map_or(backoff, |w| w.min(backoff)));
+        }
+        if let Some(ev) = self.events.get(self.next_event) {
+            wake = Some(wake.map_or(ev.at_s, |w| w.min(ev.at_s)));
         }
         // With nothing pushed ahead, a push still to come (at or after the
         // horizon) may end the hold first.
@@ -1224,9 +1178,7 @@ impl<'a> SchedulerState<'a> {
         // forever.
         for q in std::mem::take(&mut self.pending) {
             self.reject(q.req.id, RejectReason::PolicyHold);
-            if !self.clean {
-                self.books.resolve_victim(q.req.id, self.now);
-            }
+            self.books.resolve_victim(q.req.id, self.now);
         }
         Pass::Over
     }
@@ -1307,7 +1259,7 @@ impl<'a> SchedulerState<'a> {
                 priced
             }
         };
-        let fault_clean = self.clean || self.books.state.is_clean();
+        let fault_clean = self.books.state.is_clean();
         if fault_clean {
             self.now += ms / 1e3;
             self.comm_s += comm_ms / 1e3;
@@ -1435,9 +1387,6 @@ impl<'a> SchedulerState<'a> {
     /// robustness books. Called at the top of each scheduler round and
     /// after every time jump, so no event is skipped over.
     fn faults_due(&mut self) {
-        if self.clean {
-            return;
-        }
         let books = &mut self.books;
         // Link windows expire by time, not by a plan event.
         if books.state.link_factor != 1.0 && self.now >= books.state.link_until {
@@ -1587,12 +1536,14 @@ impl<'a> SchedulerState<'a> {
 /// sole occupant is rejected as [`RejectReason::Oversized`] rather than
 /// looping forever.
 ///
-/// The clean-path guarantee: with an empty [`FaultPlan`] this function
-/// executes *exactly* the arithmetic of the pre-fault loop — every fault
-/// branch is behind a `plan.is_empty()` check, capacity scaling is
-/// integer, and the robustness books stay at their all-zero default — so
-/// reports are bit-identical (pinned by the `fault_recovery` suite across
-/// every in-tree policy).
+/// Clean and faulted runs share one path. An empty [`FaultPlan`] leaves
+/// every fault book at its identity: no dead rank (full capacity, the same
+/// `u64`, and no compute slowdown), link factor 1 (a decode step is priced
+/// unscaled while the fault state is clean), no victims (every queued
+/// request is eligible, so the policy sees the plain queue) and no events.
+/// Each fault branch then reduces to the fault-free arithmetic, and the
+/// robustness books stay at their all-zero default (pinned by the
+/// `fault_recovery` suite across every in-tree policy).
 ///
 /// With a non-empty plan, events apply between scheduler rounds:
 ///
@@ -1632,173 +1583,12 @@ pub fn run_policy_faulted(
     state.finish()
 }
 
-/// A request in flight (legacy reference loop only).
-#[derive(Debug, Clone, Copy)]
-struct InFlight {
-    req: Request,
-    admitted_s: f64,
-    generated: u64,
-    first_token_s: Option<f64>,
-}
-
-/// The original FCFS continuous-batching simulator, kept as a thin shim.
-///
-/// Prefer the builder path: `ServingEngine::builder().policy(Fcfs).build()`
-/// then [`ServingEngine::serve_online`](crate::engine::ServingEngine::serve_online)
-/// — it accepts any [`SchedulePolicy`] and carries the batch cap with the
-/// engine. [`ContinuousBatcher::run`] delegates there with [`Fcfs`], so
-/// downstream code keeps compiling unchanged.
-#[derive(Debug)]
-pub struct ContinuousBatcher<'a> {
-    engine: &'a ServingEngine,
-    /// Hard cap on concurrent sequences (scheduler config).
-    pub max_batch: usize,
-}
-
-impl<'a> ContinuousBatcher<'a> {
-    /// Creates a batcher over an engine deployment.
-    ///
-    /// Superseded by [`ServingEngine::builder`](crate::engine::ServingEngine::builder),
-    /// which folds the batcher's configuration into the engine itself.
-    pub fn new(engine: &'a ServingEngine) -> Self {
-        ContinuousBatcher {
-            engine,
-            max_batch: 64,
-        }
-    }
-
-    /// Runs the arrival trace to completion under FCFS.
-    ///
-    /// Delegates to the policy-generic [`run_policy`] loop with [`Fcfs`];
-    /// bit-compatibility with the pre-trait implementation is pinned by
-    /// [`ContinuousBatcher::run_reference`] and the `schedule_policies`
-    /// proptest suite.
-    pub fn run(&self, arrivals: Vec<Request>) -> ScheduleReport {
-        run_policy(self.engine, &Fcfs, self.max_batch, arrivals)
-    }
-
-    /// The frozen pre-trait FCFS loop, kept verbatim as the regression
-    /// oracle for [`run_policy`]'s bit-compatibility proptest. Not for new
-    /// code — use [`ContinuousBatcher::run`] or the builder path.
-    pub fn run_reference(&self, mut arrivals: Vec<Request>) -> ScheduleReport {
-        arrivals.sort_by(|a, b| a.arrival_s.partial_cmp(&b.arrival_s).expect("finite"));
-        let capacity = self.engine.kv_capacity_tokens();
-        let mut queue: VecDeque<Request> = arrivals.iter().copied().collect();
-        let mut running: Vec<InFlight> = Vec::new();
-        let mut completions = Vec::new();
-        let mut now = 0.0f64;
-        let mut peak_batch = 0usize;
-        let mut output_tokens = 0u64;
-
-        // Cache step times: keyed by (batch, context bucket). The raw-batch
-        // key is part of the frozen arithmetic; on the single-stage engines
-        // this oracle is compared on, it coincides with
-        // `ServingEngine::step_cache_key`, so the hit/miss counters stay
-        // bit-compatible with the generic loop's.
-        let mut step_cache: HashMap<(u64, u64), f64> = HashMap::new();
-        let mut cache_stats = StepCacheStats::default();
-
-        while !queue.is_empty() || !running.is_empty() {
-            // Admit while capacity and the batch cap allow.
-            while let Some(next) = queue.front() {
-                if next.arrival_s > now && running.is_empty() {
-                    // Idle: jump to the next arrival.
-                    now = next.arrival_s;
-                }
-                if next.arrival_s > now || running.len() >= self.max_batch {
-                    break;
-                }
-                let demand: u64 = running
-                    .iter()
-                    .map(|f| f.req.prompt_len + f.req.output_len)
-                    .sum::<u64>()
-                    + next.prompt_len
-                    + next.output_len;
-                if demand > capacity {
-                    break;
-                }
-                let req = queue.pop_front().expect("checked front");
-                now += self.engine.prefill_ms(1, req.prompt_len) / 1e3;
-                running.push(InFlight {
-                    req,
-                    admitted_s: now,
-                    generated: 0,
-                    first_token_s: None,
-                });
-            }
-            peak_batch = peak_batch.max(running.len());
-            if running.is_empty() {
-                continue;
-            }
-
-            // One decode step for the whole batch.
-            let batch = running.len() as u64;
-            let mean_context: u64 = running
-                .iter()
-                .map(|f| f.req.prompt_len + f.generated)
-                .sum::<u64>()
-                / batch;
-            let bucket = (mean_context / 256).max(1) * 256;
-            if step_cache.contains_key(&(batch, bucket)) {
-                cache_stats.hits += 1;
-            } else {
-                cache_stats.misses += 1;
-            }
-            let ms = *step_cache
-                .entry((batch, bucket))
-                .or_insert_with(|| self.engine.decode_step(batch, bucket).total_ms());
-            now += ms / 1e3;
-            output_tokens += batch;
-
-            // Advance and retire.
-            for f in running.iter_mut() {
-                f.generated += 1;
-                if f.first_token_s.is_none() {
-                    f.first_token_s = Some(now);
-                }
-            }
-            running.retain(|f| {
-                if f.generated >= f.req.output_len {
-                    let view = RunningRequest {
-                        req: f.req,
-                        admitted_s: f.admitted_s,
-                        generated: f.generated,
-                        preemptions: 0,
-                        first_admitted_s: f.admitted_s,
-                        first_token_s: f.first_token_s,
-                        retries: 0,
-                        prefill_chunks_left: 0,
-                    };
-                    completions.push(complete(&view, now));
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-
-        finish_report(
-            Fcfs.name(),
-            now,
-            output_tokens,
-            peak_batch,
-            0.0,
-            0,
-            Vec::new(),
-            RobustnessStats::default(),
-            cache_stats,
-            PrefixStats::default(),
-            completions,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::GpuCluster;
     use crate::engine::EngineKind;
-    use crate::policy::{PreemptiveSjf, Priority, SloEdf};
+    use crate::policy::{Fcfs, PreemptiveSjf, Priority, SloEdf};
     use zipserv_gpu_sim::device::Gpu;
     use zipserv_kernels::shapes::LlmModel;
 
@@ -1821,8 +1611,7 @@ mod tests {
     #[test]
     fn all_requests_complete() {
         let zip = engine(EngineKind::ZipServ);
-        let batcher = ContinuousBatcher::new(&zip);
-        let report = batcher.run(poisson_arrivals(4.0, 40, 128, 32, 3));
+        let report = run_policy(&zip, &Fcfs, 64, poisson_arrivals(4.0, 40, 128, 32, 3));
         assert_eq!(report.completions.len(), 40);
         assert!(report.peak_batch >= 2, "batching should occur");
         assert!(report.throughput_tps > 0.0);
@@ -1834,7 +1623,7 @@ mod tests {
     #[test]
     fn percentiles_are_ordered() {
         let zip = engine(EngineKind::ZipServ);
-        let report = ContinuousBatcher::new(&zip).run(poisson_arrivals(6.0, 60, 128, 32, 5));
+        let report = run_policy(&zip, &Fcfs, 64, poisson_arrivals(6.0, 60, 128, 32, 5));
         let p50 = report.latency_percentile(0.5).expect("has completions");
         let p95 = report.latency_percentile(0.95).expect("has completions");
         assert!(p50 <= p95);
@@ -1845,19 +1634,7 @@ mod tests {
 
     #[test]
     fn empty_report_yields_none_not_panic() {
-        let report = finish_report(
-            "fcfs",
-            0.0,
-            0,
-            0,
-            0.0,
-            0,
-            Vec::new(),
-            RobustnessStats::default(),
-            StepCacheStats::default(),
-            PrefixStats::default(),
-            Vec::new(),
-        );
+        let report = run_policy(&engine(EngineKind::ZipServ), &Fcfs, 64, Vec::new());
         assert_eq!(report.latency_percentile(0.99), None);
         assert_eq!(report.ttft_percentile(0.5), None);
         assert_eq!(report.mean_queue_s(), None);
@@ -1877,7 +1654,7 @@ mod tests {
     #[should_panic(expected = "percentile in [0,1]")]
     fn out_of_range_percentile_still_panics() {
         let zip = engine(EngineKind::ZipServ);
-        let report = ContinuousBatcher::new(&zip).run(poisson_arrivals(4.0, 5, 64, 8, 3));
+        let report = run_policy(&zip, &Fcfs, 64, poisson_arrivals(4.0, 5, 64, 8, 3));
         let _ = report.latency_percentile(1.5);
     }
 
@@ -1888,8 +1665,8 @@ mod tests {
         let arrivals = poisson_arrivals(8.0, 60, 1024, 256, 11);
         let zip = engine(EngineKind::ZipServ);
         let vllm = engine(EngineKind::Vllm);
-        let rz = ContinuousBatcher::new(&zip).run(arrivals.clone());
-        let rv = ContinuousBatcher::new(&vllm).run(arrivals);
+        let rz = run_policy(&zip, &Fcfs, 64, arrivals.clone());
+        let rv = run_policy(&vllm, &Fcfs, 64, arrivals);
         assert!(
             rz.throughput_tps > rv.throughput_tps,
             "{} vs {}",
@@ -1905,41 +1682,9 @@ mod tests {
     #[test]
     fn light_load_has_no_queueing() {
         let zip = engine(EngineKind::ZipServ);
-        let report = ContinuousBatcher::new(&zip).run(poisson_arrivals(0.05, 5, 64, 16, 2));
+        let report = run_policy(&zip, &Fcfs, 64, poisson_arrivals(0.05, 5, 64, 16, 2));
         let q = report.mean_queue_s().expect("completions");
         assert!(q < 0.2, "queue {q}");
-    }
-
-    #[test]
-    fn run_matches_reference_on_a_smoke_trace() {
-        // The full randomized bit-compat check lives in the
-        // `schedule_policies` integration suite; this is the fast smoke.
-        let zip = engine(EngineKind::ZipServ);
-        let batcher = ContinuousBatcher::new(&zip);
-        let arrivals = poisson_arrivals(6.0, 30, 512, 64, 13);
-        assert_eq!(
-            batcher.run(arrivals.clone()),
-            batcher.run_reference(arrivals)
-        );
-    }
-
-    #[test]
-    fn run_matches_reference_on_tied_arrivals() {
-        // Equal arrival times with out-of-order ids: both loops must keep
-        // the stable submission order (legacy sorts stably; Fcfs picks the
-        // queue head), so reports match even on ties.
-        let zip = engine(EngineKind::ZipServ);
-        let batcher = ContinuousBatcher::new(&zip);
-        let arrivals = vec![
-            Request::new(5, 1.0, 256, 16),
-            Request::new(2, 1.0, 128, 32),
-            Request::new(9, 0.5, 64, 8),
-            Request::new(1, 1.0, 512, 24),
-        ];
-        assert_eq!(
-            batcher.run(arrivals.clone()),
-            batcher.run_reference(arrivals)
-        );
     }
 
     #[test]
@@ -2225,6 +1970,39 @@ mod tests {
             "challenger admitted at {} before request 0 finished at {}",
             0.001 + held.queue_s,
             pinned.latency_s
+        );
+    }
+
+    #[test]
+    fn fault_retry_recomputes_its_whole_prompt_without_a_prefix_lookup() {
+        // A fault victim's recompute pays its whole prompt: the dead rank's
+        // KV, cached prefixes included, is gone, so the retry must not look
+        // its prefix up again.
+        let engine = ServingEngine::builder()
+            .cluster(GpuCluster::pipeline_parallel(Gpu::L40s, 1, 2))
+            .micro_batches(1)
+            .chunked_prefill(true)
+            .prefix_caching(true)
+            .build();
+        let a = Request::new(0, 0.0, 1024, 8).with_shared_prefix(7, 512);
+        // B arrives once A has finished, and hits the prefix A cached.
+        let b_at = run_policy(&engine, &Fcfs, 64, vec![a]).duration_s + 1.0;
+        let b = Request::new(1, b_at, 1024, 8).with_shared_prefix(7, 512);
+        // Rank 1 fails while B is mid-prefill.
+        let plan = FaultPlan::new()
+            .rank_fail(b_at + 1e-6, 1)
+            .rank_repair(b_at + 0.5, 1);
+        let retry = RetryPolicy::default();
+        let report = run_policy_faulted(&engine, &Fcfs, 64, vec![a, b], &plan, &retry);
+
+        let retried = report.completions.iter().find(|c| c.id == 1);
+        assert_eq!(retried.map(|c| c.retries), Some(1));
+        assert_eq!(report.robustness.recomputed_tokens, 1024);
+        let p = report.prefix;
+        assert_eq!(
+            (p.lookups, p.hits, p.misses, p.tokens_saved),
+            (2, 1, 1, 512),
+            "A misses, B hits once, B's retry does not look up"
         );
     }
 }

@@ -4,13 +4,12 @@
 
 use crate::policy::{PriorityClass, Slo};
 use crate::scheduler::Request;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// One batch workload: `batch` requests with a shared prompt and output
 /// length — the benchmarking setup of §6.5 (batch 8/32, outputs 128–2048).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Workload {
     /// Concurrent requests.
     pub batch: u64,

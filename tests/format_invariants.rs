@@ -64,7 +64,7 @@ proptest! {
     #[test]
     fn disk_format_rejects_random_corruption(m in gaussian_matrix(), flip in any::<u32>()) {
         let tbe = TbeCompressor::new().compress(&m).expect("tileable");
-        let mut blob = zipserv::tbe::format::serialize::to_bytes(&tbe).to_vec();
+        let mut blob = zipserv::tbe::format::serialize::to_bytes(&tbe);
         let pos = flip as usize % blob.len();
         let bit = 1u8 << (flip % 8);
         blob[pos] ^= bit;

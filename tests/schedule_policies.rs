@@ -1,10 +1,13 @@
 //! Scheduling-policy suite: bit-compatibility of the trait-based loop with
-//! the legacy FCFS batcher, and scenario-level wins for the QoS-aware
+//! a straight-line FCFS oracle, and scenario-level wins for the QoS-aware
 //! policies (priority bursts, SLO deadlines, preemption accounting).
 
 use proptest::prelude::*;
+use std::collections::{HashMap, VecDeque};
 use zipserv::prelude::*;
-use zipserv::serve::scheduler::{poisson_arrivals as poisson, run_policy, ContinuousBatcher};
+use zipserv::serve::scheduler::{
+    poisson_arrivals as poisson, run_policy, Completion, StepCacheStats,
+};
 
 fn zip_engine() -> ServingEngine {
     ServingEngine::builder()
@@ -14,13 +17,134 @@ fn zip_engine() -> ServingEngine {
         .build()
 }
 
+/// The FCFS continuous-batching loop the scheduler started as, written
+/// straight through on the engine's public cost model: admit from the head
+/// of the arrival-sorted queue while the batch cap and the whole-lifetime
+/// KV demand allow (an idle engine jumps to the next arrival), charge each
+/// admission its prefill, run one decode step for the whole batch, priced
+/// once per `(batch, context bucket)`, and retire finished requests.
+///
+/// # Panics
+///
+/// Panics on a request that cannot fit the deployment alone.
+fn fcfs_oracle(
+    engine: &ServingEngine,
+    max_batch: usize,
+    mut trace: Vec<Request>,
+) -> ScheduleReport {
+    struct Running {
+        req: Request,
+        admitted_s: f64,
+        generated: u64,
+        first_token_s: Option<f64>,
+    }
+    trace.sort_by(|a, b| a.arrival_s.partial_cmp(&b.arrival_s).expect("finite"));
+    let capacity = engine.kv_capacity_tokens();
+    let mut queue: VecDeque<Request> = trace.into();
+    let mut running: Vec<Running> = Vec::new();
+    let mut completions = Vec::new();
+    let (mut now, mut peak_batch, mut output_tokens) = (0.0f64, 0usize, 0u64);
+    let mut step_ms: HashMap<(u64, u64), f64> = HashMap::new();
+    let mut steps = 0u64;
+    while !queue.is_empty() || !running.is_empty() {
+        while let Some(next) = queue.front() {
+            if next.arrival_s > now && running.is_empty() {
+                now = next.arrival_s;
+            }
+            let demand = running
+                .iter()
+                .map(|f| f.req.prompt_len + f.req.output_len)
+                .sum::<u64>()
+                + next.prompt_len
+                + next.output_len;
+            if next.arrival_s > now || running.len() >= max_batch || demand > capacity {
+                break;
+            }
+            let req = queue.pop_front().expect("checked front");
+            now += engine.prefill_ms(1, req.prompt_len) / 1e3;
+            running.push(Running {
+                req,
+                admitted_s: now,
+                generated: 0,
+                first_token_s: None,
+            });
+        }
+        assert!(!running.is_empty(), "oracle traces fit the deployment");
+        peak_batch = peak_batch.max(running.len());
+
+        let batch = running.len() as u64;
+        let mean_context = running
+            .iter()
+            .map(|f| f.req.prompt_len + f.generated)
+            .sum::<u64>()
+            / batch;
+        let bucket = (mean_context / 256).max(1) * 256;
+        let ms = *step_ms
+            .entry((batch, bucket))
+            .or_insert_with(|| engine.decode_step(batch, bucket).total_ms());
+        now += ms / 1e3;
+        output_tokens += batch;
+        steps += 1;
+
+        for f in running.iter_mut() {
+            f.generated += 1;
+            f.first_token_s.get_or_insert(now);
+        }
+        running.retain(|f| {
+            if f.generated < f.req.output_len {
+                return true;
+            }
+            let first_token = f.first_token_s.expect("decoded at least once");
+            let ttft_s = first_token - f.req.arrival_s;
+            completions.push(Completion {
+                id: f.req.id,
+                priority: f.req.priority,
+                queue_s: f.admitted_s - f.req.arrival_s,
+                latency_s: now - f.req.arrival_s,
+                ttft_s,
+                preemptions: 0,
+                slo_met: f.req.slo.map(|slo| {
+                    let decode_budget = slo.tpot_s * f.req.output_len.saturating_sub(1) as f64;
+                    ttft_s <= slo.ttft_s && now - first_token <= decode_budget
+                }),
+                output_len: f.req.output_len,
+                retries: 0,
+            });
+            false
+        });
+    }
+    ScheduleReport {
+        completions,
+        duration_s: now,
+        throughput_tps: if now > 0.0 {
+            output_tokens as f64 / now
+        } else {
+            0.0
+        },
+        peak_batch,
+        comm_s: 0.0,
+        preemptions: 0,
+        rejected: Vec::new(),
+        rejections: Vec::new(),
+        robustness: RobustnessStats::default(),
+        // Each distinct step shape is priced once; every other step hits.
+        step_cache: StepCacheStats {
+            hits: steps - step_ms.len() as u64,
+            misses: step_ms.len() as u64,
+        },
+        prefix: PrefixStats::default(),
+        policy: Fcfs.name().to_string(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The tentpole compatibility guarantee: `Fcfs` under the generic
-    /// `SchedulePolicy` loop reproduces the frozen pre-trait batcher
-    /// *exactly* — same completions in the same order, same duration,
-    /// throughput and peak batch — on random Poisson arrival streams.
+    /// `Fcfs` under the generic `SchedulePolicy` loop (called directly and
+    /// through the builder) reproduces the straight-line FCFS oracle
+    /// *exactly*: the same completions in the same order, the same
+    /// duration, throughput, peak batch and step-cache counters, on random
+    /// Poisson arrival streams.
     #[test]
     fn fcfs_is_bit_compatible_with_legacy_batcher(
         rate10 in 5u64..120,
@@ -31,13 +155,40 @@ proptest! {
     ) {
         let engine = zip_engine();
         let arrivals = poisson(rate10 as f64 / 10.0, count, prompt, output, seed);
-        let batcher = ContinuousBatcher::new(&engine);
-        let legacy = batcher.run_reference(arrivals.clone());
-        let via_trait = batcher.run(arrivals.clone());
+        let oracle = fcfs_oracle(&engine, 64, arrivals.clone());
+        let via_trait = run_policy(&engine, &Fcfs, 64, arrivals.clone());
         let via_builder = engine.serve_online(arrivals);
-        prop_assert_eq!(&via_trait, &legacy);
-        prop_assert_eq!(&via_builder, &legacy);
+        prop_assert_eq!(&via_trait, &oracle);
+        prop_assert_eq!(&via_builder, &oracle);
     }
+}
+
+/// A fixed Poisson trace, the fast smoke of the proptest above: `Fcfs`
+/// called directly and through the builder reproduces the oracle.
+#[test]
+fn fcfs_matches_oracle_on_a_smoke_trace() {
+    let engine = zip_engine();
+    let arrivals = poisson(6.0, 30, 512, 64, 13);
+    let oracle = fcfs_oracle(&engine, 64, arrivals.clone());
+    assert_eq!(run_policy(&engine, &Fcfs, 64, arrivals.clone()), oracle);
+    assert_eq!(engine.serve_online(arrivals), oracle);
+}
+
+/// Equal arrival times with out-of-order ids: the scheduler keeps the
+/// stable submission order on ties (the sort is stable and `Fcfs` picks
+/// the queue head), as the oracle does.
+#[test]
+fn fcfs_matches_oracle_on_tied_arrivals() {
+    let engine = zip_engine();
+    let arrivals = vec![
+        Request::new(5, 1.0, 256, 16),
+        Request::new(2, 1.0, 128, 32),
+        Request::new(9, 0.5, 64, 8),
+        Request::new(1, 1.0, 512, 24),
+    ];
+    let oracle = fcfs_oracle(&engine, 64, arrivals.clone());
+    assert_eq!(run_policy(&engine, &Fcfs, 64, arrivals.clone()), oracle);
+    assert_eq!(engine.serve_online(arrivals), oracle);
 }
 
 /// Background load at KV-pressure, then a burst of interactive requests
