@@ -331,12 +331,14 @@ impl TbeMatrix {
         if !rows.is_multiple_of(FRAG_DIM) || !cols.is_multiple_of(FRAG_DIM) {
             return Err(crate::error::TbeError::NotTileable { rows, cols });
         }
-        let expected_tiles = (rows / FRAG_DIM) * (cols / FRAG_DIM);
-        if bitmaps.len() != expected_tiles {
+        // Forged dimensions must not wrap: decompression allocates
+        // `rows × cols` elements.
+        let tiles = (rows / FRAG_DIM).checked_mul(cols / FRAG_DIM);
+        if rows.checked_mul(cols).is_none() || tiles != Some(bitmaps.len()) {
             return Err(E);
         }
         let tile_total: u64 = blocks.iter().map(|&(_, t)| t as u64).sum();
-        if tile_total as usize != expected_tiles {
+        if tile_total as usize != bitmaps.len() {
             return Err(E);
         }
         for &(off, _) in &blocks {
@@ -356,9 +358,9 @@ impl TbeMatrix {
             tile_offsets: Vec::new(),
         };
         m.rebuild_offsets();
-        // Verify the last tile's slice stays in bounds.
-        if let Some(&(hf, fb)) = m.tile_offsets.last() {
-            let ind = m.bitmaps[expected_tiles - 1];
+        // Every tile's slices must lie inside both sections: each block
+        // starts at its own forgeable offsets.
+        for (&(hf, fb), ind) in m.tile_offsets.iter().zip(&m.bitmaps) {
             let n_hf = (ind[0] | ind[1] | ind[2]).count_ones() as usize;
             if hf as usize + n_hf > m.high_freq.len()
                 || fb as usize + (FRAG_ELEMS - n_hf) > m.fallback.len()

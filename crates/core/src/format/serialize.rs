@@ -329,6 +329,62 @@ mod tests {
         assert!(matches!(from_bytes(&forged), Err(TbeError::Corrupt(_))));
     }
 
+    /// Bit positions worth flipping in `bytes`: every bit of the header,
+    /// the length fields, the block table and a planar frame's header,
+    /// frequency table, states and stream lengths; every bit of each 7th
+    /// byte of the bulk payloads (bitmaps, mantissas, fallback values,
+    /// rANS streams). The trailing checksum is left to `forge`.
+    fn sweep_bits(bytes: &[u8]) -> Vec<usize> {
+        let n_tiles = u64_at(bytes, 24) as usize;
+        let hf_at = 32 + 24 * n_tiles;
+        let fb_at = hf_at + 8 + u64_at(bytes, hf_at) as usize;
+        let blocks_at = fb_at + 8 + 2 * u64_at(bytes, fb_at) as usize;
+        let le_u32 = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        let mut dense = vec![true; bytes.len() - 8];
+        let mut bulk = |range: std::ops::Range<usize>| dense[range].fill(false);
+        bulk(32..hf_at);
+        bulk(fb_at + 8..blocks_at);
+        if bytes[7] == SectionCodec::PlanarRans.to_byte() {
+            // n_streams u32 | n_symbols u64 | checksum u64 | 256 x u32
+            // frequencies | n_streams x u32 states | (len u32 | bytes)...
+            let n_streams = le_u32(hf_at + 8) as usize;
+            let mut at = hf_at + 8 + 20 + 1024 + 4 * n_streams;
+            for _ in 0..n_streams {
+                let len = le_u32(at) as usize;
+                bulk(at + 4..at + 4 + len);
+                at += 4 + len;
+            }
+        } else {
+            bulk(hf_at + 8..fb_at);
+        }
+        (0..dense.len())
+            .filter(|&i| dense[i] || i % 7 == 0)
+            .flat_map(|i| (0..8).map(move |bit| 8 * i + bit))
+            .collect()
+    }
+
+    #[test]
+    fn hostile_bit_flips_are_typed_errors_or_decodable_matrices() {
+        // Single-bit flips re-sealed with a valid checksum, as a forger
+        // would: each blob must parse to a typed error or to a matrix that
+        // decompresses, never panic or exhaust memory. Release arithmetic
+        // wraps where debug arithmetic panics, so CI runs this in both.
+        let w = WeightGen::new(0.018).seed(63).matrix(8, 128);
+        let tbe = TbeCompressor::new().compress(&w).unwrap();
+        for codec in [SectionCodec::Raw, SectionCodec::PlanarRans] {
+            let bytes = to_bytes_with_codec(&tbe, codec);
+            let bits = sweep_bits(&bytes);
+            assert!(bits.len() > 1000, "{codec:?}: swept {} bits", bits.len());
+            for bit in bits {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                if let Ok(m) = from_bytes(&forge(&flipped, 0, &[])) {
+                    assert_eq!(m.decompress().rows(), m.rows());
+                }
+            }
+        }
+    }
+
     #[test]
     fn roundtrip() {
         let w = WeightGen::new(0.018).seed(55).matrix(128, 192);

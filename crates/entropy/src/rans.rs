@@ -457,7 +457,8 @@ impl PlanarRansBlob {
     /// # Errors
     ///
     /// Returns [`CodecError::Corrupt`] on a zero stream count or one too
-    /// large for the frame, and [`CodecError::UnexpectedEof`] on any
+    /// large for the frame, or a frequency table that does not sum to
+    /// [`PROB_SCALE`], and [`CodecError::UnexpectedEof`] on any
     /// truncation.
     pub fn from_wire(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut buf = bytes;
@@ -486,6 +487,13 @@ impl PlanarRansBlob {
         let mut freq = [0u32; 256];
         for f in freq.iter_mut() {
             *f = le_u32(take(4)?);
+        }
+        // Decoding builds its table from these; a table that does not sum
+        // to the probability scale cannot have come from the encoder.
+        if freq.iter().map(|&f| u64::from(f)).sum::<u64>() != u64::from(PROB_SCALE) {
+            return Err(CodecError::Corrupt(
+                "frequency table off the probability scale",
+            ));
         }
         let mut states = Vec::with_capacity(n_streams);
         for _ in 0..n_streams {

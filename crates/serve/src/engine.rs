@@ -1,7 +1,7 @@
 //! The four serving engines of Figure 16.
 //!
 //! All engines share the same substrate (kernel cost models, paged KV
-//! allocator, attention and all-reduce models); they differ exactly where
+//! accounting, attention and all-reduce models); they differ exactly where
 //! the real systems differ:
 //!
 //! | engine | weights | decode linear | attention | scheduling overhead |
@@ -17,14 +17,14 @@ use std::sync::{Arc, Mutex};
 use crate::attention::{decode_attention_us, prefill_attention_us};
 use crate::cluster::GpuCluster;
 use crate::fault::{FaultPlan, RetryPolicy};
-use crate::kvcache::{KvShards, PagedKvCache};
+use crate::kvcache::{pages_in, KvShards};
 use crate::memory::{MemoryPlan, PlanError, WeightFormat};
 use crate::metrics::{RunReport, StepBreakdown};
 use crate::parallel::{
     allreduce_us, block_allreduce_bytes, p2p_us, shard_layer, stage_activation_bytes, PipelineKind,
     PipelineSchedule,
 };
-use crate::policy::{Fcfs, PriorityClass, SchedulePolicy};
+use crate::policy::{Fcfs, SchedulePolicy};
 use crate::scheduler::{run_policy_faulted, Request, ScheduleReport};
 use crate::workload::Workload;
 use zipserv_gpu_sim::device::Gpu;
@@ -153,7 +153,6 @@ pub struct EngineBuilder {
     micro_batches: Option<u32>,
     pipeline_kind: PipelineKind,
     chunked_prefill: Option<bool>,
-    whole_prefill_classes: Vec<PriorityClass>,
     prefix_caching: bool,
     fault_plan: FaultPlan,
     retry: RetryPolicy,
@@ -197,7 +196,6 @@ impl Default for EngineBuilder {
             micro_batches: None,
             pipeline_kind: PipelineKind::GPipe,
             chunked_prefill: None,
-            whole_prefill_classes: Vec::new(),
             prefix_caching: false,
             fault_plan: FaultPlan::default(),
             retry: RetryPolicy::default(),
@@ -273,29 +271,15 @@ impl EngineBuilder {
     /// Overrides chunked-prefill streaming admission (default: enabled
     /// exactly when the resolved deployment has `pp ≥ 2`).
     ///
-    /// When enabled, the schedulers admit prefills as `pp` per-stage
-    /// chunks advanced between decode steps (new arrivals reach their
-    /// first token without waiting behind whole serialized prefills) and
-    /// consult the per-rank [`KvShards`] live inside the scheduling loop.
-    /// Disabling it pins the legacy whole-prefill chain-admission
-    /// semantics — the bit-compat path the fixture suites diff against.
+    /// The two modes differ only in how prefill is charged. Enabled, the
+    /// schedulers admit fresh prefills as `pp` per-stage chunks advanced
+    /// between decode steps (new arrivals reach their first token without
+    /// waiting behind whole serialized prefills), at most
+    /// `micro_batches` prefilling at once. Disabled, each admission
+    /// charges its whole prefill before the next decode step. Either way
+    /// admission reserves the same KV pages.
     pub fn chunked_prefill(mut self, enabled: bool) -> Self {
         self.chunked_prefill = Some(enabled);
-        self
-    }
-
-    /// Opts one traffic class out of chunked prefill (chainable; default:
-    /// no class opts out). When streaming admission is active, fresh
-    /// prompts of an opted-out class serialize their whole prefill at
-    /// admission — the legacy semantics — while other classes keep
-    /// chunking. Batch-class traffic has no TTFT SLO to protect, so a
-    /// fleet can run Batch whole-prefill (fewer scheduler rounds) next to
-    /// chunked Interactive on the same replicas. A no-op when chunked
-    /// prefill is off entirely, so the bit-compat paths are untouched.
-    pub fn whole_prefill_for(mut self, class: PriorityClass) -> Self {
-        if !self.whole_prefill_classes.contains(&class) {
-            self.whole_prefill_classes.push(class);
-        }
         self
     }
 
@@ -398,22 +382,12 @@ impl EngineBuilder {
             micro_batches,
             pipeline_kind: self.pipeline_kind,
             chunked_prefill,
-            whole_prefill_classes: self.whole_prefill_classes,
             prefix_caching: self.prefix_caching,
             fault_plan: self.fault_plan,
             retry: self.retry,
             kv_capacity: 0,
-            // Placeholder, replaced right below once the engine's model and
-            // cluster can size the real allocators.
-            kv_shards_proto: Arc::new(KvShards::new(vec![PagedKvCache::new(0, 1)])),
             step_memo: Arc::new(Mutex::new(HashMap::new())),
         };
-        // Capacity and the pristine allocators are pure functions of the
-        // deployment, but deriving them means constructing every per-rank
-        // page allocator — O(pages) work that once ran on each
-        // `kv_capacity_tokens` call, dominating multi-rank scheduler runs.
-        // Compute both once here.
-        engine.kv_shards_proto = Arc::new(engine.build_kv_shards());
         engine.kv_capacity = engine.compute_kv_capacity_tokens();
         Ok(engine)
     }
@@ -431,11 +405,8 @@ pub struct ServingEngine {
     micro_batches: u32,
     pipeline_kind: PipelineKind,
     /// Resolved streaming-admission mode (default `pp >= 2`): chunked
-    /// prefill plus live per-rank KV admission in the schedulers.
+    /// prefill in the schedulers.
     chunked_prefill: bool,
-    /// Traffic classes that serialize their whole prefill at admission
-    /// even while streaming admission is active (default none).
-    whole_prefill_classes: Vec<PriorityClass>,
     /// Whether admission consults a shared-prefix registry (default off —
     /// the bit-compat legacy path).
     prefix_caching: bool,
@@ -444,9 +415,6 @@ pub struct ServingEngine {
     /// KV capacity in tokens, derived once at build time (see
     /// [`ServingEngine::kv_capacity_tokens`]).
     kv_capacity: u64,
-    /// Pristine per-rank KV allocators, built once; [`ServingEngine::kv_shards`]
-    /// clones them instead of re-running the O(pages)-per-rank construction.
-    kv_shards_proto: Arc<KvShards>,
     /// Cross-run decode-step price memo, keyed like the schedulers' local
     /// step caches (`(step_cache_key, context bucket)` → `(total ms, comm
     /// ms)`). Step costs are pure functions of the frozen deployment, so
@@ -473,12 +441,10 @@ impl Clone for ServingEngine {
             micro_batches: self.micro_batches,
             pipeline_kind: self.pipeline_kind,
             chunked_prefill: self.chunked_prefill,
-            whole_prefill_classes: self.whole_prefill_classes.clone(),
             prefix_caching: self.prefix_caching,
             fault_plan: self.fault_plan.clone(),
             retry: self.retry,
             kv_capacity: self.kv_capacity,
-            kv_shards_proto: Arc::clone(&self.kv_shards_proto),
             step_memo: Arc::clone(&self.step_memo),
         }
     }
@@ -536,21 +502,12 @@ impl ServingEngine {
         self.pipeline_kind
     }
 
-    /// Whether the schedulers run in streaming-admission mode: prefills
-    /// admitted as per-stage chunks advanced between decode steps, with
-    /// live per-rank [`KvShards`] admission. Resolved at build time
-    /// (default `pp >= 2`, overridable via
-    /// [`EngineBuilder::chunked_prefill`]).
+    /// Whether the schedulers charge fresh prefills as per-stage chunks
+    /// advanced between decode steps rather than whole at admission; KV
+    /// admission is the same either way. Resolved at build time (default
+    /// `pp >= 2`, overridable via [`EngineBuilder::chunked_prefill`]).
     pub fn chunked_prefill(&self) -> bool {
         self.chunked_prefill
-    }
-
-    /// Whether fresh prompts of `class` serialize their whole prefill at
-    /// admission even under streaming admission (see
-    /// [`EngineBuilder::whole_prefill_for`]; always effectively true when
-    /// [`ServingEngine::chunked_prefill`] is off).
-    pub fn whole_prefill_for(&self, class: PriorityClass) -> bool {
-        self.whole_prefill_classes.contains(&class)
     }
 
     /// Whether the schedulers consult a shared-prefix registry at
@@ -965,58 +922,37 @@ impl ServingEngine {
             + self.kind.other_ms(dims.layers)
     }
 
-    /// One paged KV allocator per rank of the `tp × pp` grid, sized from
+    /// The KV page budget of each rank of the `tp × pp` grid, sized from
     /// that rank's memory plan and KV slice: its share of the GQA KV heads
     /// within the stage (ceil-split when `kv_heads % tp != 0`) and its
     /// stage's layer slice across stages. The rank with the fattest slice
     /// runs out of pages first and throttles the whole deployment — see
     /// [`KvShards`].
-    ///
-    /// Returns a clone of the pristine allocators built once at engine
-    /// construction: callers get independent state, and the per-call cost
-    /// is a memcpy of the free lists rather than the O(pages)-per-rank
-    /// rebuild (which dominated streaming-admission scheduler runs when it
-    /// ran per run).
     pub fn kv_shards(&self) -> KvShards {
-        (*self.kv_shards_proto).clone()
-    }
-
-    /// Builds the pristine per-rank allocators (the expensive half of
-    /// [`ServingEngine::kv_shards`], run once at build time).
-    fn build_kv_shards(&self) -> KvShards {
         let dims = self.model.dims();
-        let tp = self.cluster.tp() as u64;
         let stage_plans =
             MemoryPlan::plan_stages(self.model, &self.cluster, self.kind.weight_format());
         let stage_layers = self.cluster.stage_layers(dims.layers);
-        let mut shards = Vec::with_capacity(stage_plans.len() * tp as usize);
+        let mut pages = Vec::with_capacity(self.cluster.total_ranks());
         for (plan, &layers) in stage_plans.iter().zip(&stage_layers) {
-            for rank in 0..tp {
-                shards.push(PagedKvCache::new(
-                    plan.kv_bytes,
-                    self.rank_kv_bytes_per_token(rank, layers),
-                ));
+            for rank in 0..self.cluster.tp() as u64 {
+                let bytes_per_token = self.rank_kv_bytes_per_token(rank, layers);
+                pages.push(pages_in(plan.kv_bytes, bytes_per_token));
             }
         }
-        KvShards::new(shards)
+        KvShards::new(pages)
     }
 
     /// KV capacity in tokens for this deployment: the *minimum* across the
-    /// per-rank allocators of [`ServingEngine::kv_shards`] — one exhausted
+    /// per-rank budgets of [`ServingEngine::kv_shards`] — one exhausted
     /// rank stalls admission exactly like real hardware. Non-paged engines
     /// lose ~40% of the region to fragmentation and static
-    /// over-reservation.
-    ///
-    /// The value is derived once at build time; this accessor is O(1).
-    /// (It used to rebuild every per-rank allocator on each call — O(pages)
-    /// per rank — which made the accessor the dominant cost of multi-rank
-    /// scheduler runs.)
+    /// over-reservation. Derived once at build time.
     pub fn kv_capacity_tokens(&self) -> u64 {
         self.kv_capacity
     }
 
-    /// The build-time computation behind [`ServingEngine::kv_capacity_tokens`]:
-    /// sizes every per-rank allocator and takes the bottleneck.
+    /// The build-time computation behind [`ServingEngine::kv_capacity_tokens`].
     fn compute_kv_capacity_tokens(&self) -> u64 {
         let raw = self.kv_shards().capacity_tokens();
         if self.kind.paged_kv() {

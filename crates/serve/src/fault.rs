@@ -7,10 +7,10 @@
 //! [`EngineBuilder::fault_plan`](crate::engine::EngineBuilder::fault_plan))
 //! consumes mid-run:
 //!
-//! * **Rank failure / repair** — a dead rank loses its
-//!   [`KvShards`](crate::kvcache::KvShards) shard, so every in-flight
-//!   request is re-queued for recompute-prefill under the bounded
-//!   [`RetryPolicy`]; capacity is re-planned around the survivors and
+//! * **Rank failure / repair** — a dead rank loses its slice of every
+//!   sequence's KV, so every in-flight request is re-queued for
+//!   recompute-prefill under the bounded [`RetryPolicy`] and the prefix
+//!   cache is emptied; capacity is re-planned around the survivors and
 //!   best-effort traffic is shed (SLO-aware brownout) until repair;
 //! * **Link degradation** — tensor/pipeline communication slows by a
 //!   factor for a window (see

@@ -82,10 +82,9 @@ pub struct ReplicaSnapshot {
     /// and routed but not yet pulled into its queue.
     pub in_flight: usize,
     /// Live per-rank KV occupancy in `[0, 1]` from the replica's own
-    /// admission books ([`SchedulerState::kv_pressure`]): its streaming
-    /// shards under chunked prefill, its residents' reserved tokens over
-    /// capacity otherwise. Ranks dead under the replica's `FaultPlan` at
-    /// the routing time read `1.0`.
+    /// admission books ([`SchedulerState::kv_pressure`]): the pages its
+    /// residents reserve over each rank's page budget. Ranks dead under
+    /// the replica's `FaultPlan` at the routing time read `1.0`.
     pub pressure: Vec<f64>,
     /// Draining replicas finish assigned work but accept no new traffic.
     pub draining: bool,

@@ -2,10 +2,11 @@
 //!
 //! * [`cluster`] — single- and multi-GPU deployment descriptions: `tp × pp`
 //!   grids with per-link bandwidths and per-stage layer assignment;
-//! * [`kvcache`] — a PagedAttention-style block allocator (real data
-//!   structure: pages, block tables, alloc/free/fork), plus the per-rank
-//!   [`kvcache::KvShards`] mirror where one exhausted rank stalls the
-//!   deployment;
+//! * [`kvcache`] — PagedAttention-style KV accounting in pages: the
+//!   per-rank page budgets of [`kvcache::KvShards`] (the rank with the
+//!   fewest pages stalls the deployment) and the copy-on-write prefix
+//!   cache [`kvcache::PrefixRegistry`], which counts its pages in
+//!   refcounted blocks;
 //! * [`attention`] — the decode/prefill attention cost model;
 //! * [`parallel`] — tensor-parallel sharding, ring all-reduce, and
 //!   GPipe-style pipeline micro-batching with bubble accounting;
@@ -56,7 +57,7 @@ pub use fleet::{
     Autoscale, AutoscaleEvent, FleetReport, FleetRouter, LeastKvPressure, PowerOfTwoChoices,
     RoundRobin, RoutePolicy, SessionAffinity,
 };
-pub use kvcache::{KvError, KvShards, PagedKvCache, PrefixRegistry, PrefixStats, PrefixVictim};
+pub use kvcache::{KvShards, PrefixRegistry, PrefixStats, PrefixVictim};
 pub use metrics::RobustnessStats;
 pub use parallel::{PipelineKind, PipelineSchedule};
 pub use policy::{

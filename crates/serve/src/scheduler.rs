@@ -20,7 +20,7 @@ use crate::engine::ServingEngine;
 use crate::fault::{
     FaultEvent, FaultKind, FaultPlan, FaultState, RejectReason, Rejection, RetryPolicy,
 };
-use crate::kvcache::{KvShards, PrefixRegistry, PrefixStats};
+use crate::kvcache::{pages_for, KvShards, PrefixRegistry, PrefixStats, PAGE_TOKENS};
 use crate::metrics::{percentile, ClassStats, RobustnessStats};
 use crate::policy::{
     PreemptionMode, PriorityClass, QueuedRequest, RunningRequest, SchedulePolicy, Slo,
@@ -357,6 +357,12 @@ pub fn poisson_arrivals(
         .collect()
 }
 
+/// KV pages a request reserves from admission to completion: its prompt
+/// plus every output token.
+fn lifetime_pages(req: &Request) -> u64 {
+    pages_for(req.prompt_len + req.output_len)
+}
+
 /// Turns a finished in-flight record into a completion at time `now`.
 fn complete(f: &RunningRequest, now: f64) -> Completion {
     // A finished request always produced at least one token; fall back to
@@ -420,51 +426,17 @@ pub fn run_policy(
     )
 }
 
-/// Everything streaming admission tracks while the scheduler loop runs
-/// (chunked-prefill mode only — `None` on the legacy path): the live
-/// per-rank KV shards that gate admission page-by-page, plus the
-/// per-request prefill chunk cost.
+/// What chunked prefill tracks while the scheduler loop runs (`None` when
+/// prefill is charged whole at admission).
 #[derive(Debug)]
 struct StreamBooks {
-    /// One paged allocator per rank of the `tp × pp` grid. Admission
-    /// reserves a request's whole-lifetime KV (`prompt + output`) on every
-    /// alive rank up front, so one exhausted fat rank stalls intake
-    /// mid-run even when the aggregate capacity would fit.
-    shards: KvShards,
     /// Per-resident cost of one prefill chunk, in seconds (whole prefill
     /// cost at admission time — including any degraded-compute slowdown —
-    /// divided by `n_chunks`). Entries live exactly as long as the
-    /// reservation.
+    /// divided by `n_chunks`). Entries live as long as the request is
+    /// resident.
     chunk_cost: HashMap<u64, f64>,
     /// Chunks a fresh prefill is split into: one per pipeline stage.
     n_chunks: u32,
-}
-
-impl StreamBooks {
-    /// Tries to reserve `cand`'s whole-lifetime KV on every alive rank.
-    /// The append is atomic across ranks; on refusal (some rank is out of
-    /// pages) the registration is rolled back so nothing leaks.
-    fn try_reserve(&mut self, cand: &QueuedRequest) -> bool {
-        let id = cand.req.id;
-        self.shards.register(id);
-        match self
-            .shards
-            .append(id, cand.req.prompt_len + cand.req.output_len)
-        {
-            Ok(()) => true,
-            Err(_) => {
-                let _ = self.shards.release(id);
-                false
-            }
-        }
-    }
-
-    /// Hands back a resident's reservation (completion, preemption,
-    /// fault victimization) and drops its chunk bookkeeping.
-    fn unreserve(&mut self, id: u64) {
-        let _ = self.shards.release(id);
-        self.chunk_cost.remove(&id);
-    }
 }
 
 /// Everything the fault machinery mutates while the scheduler loop runs —
@@ -555,18 +527,23 @@ pub struct SchedulerState<'a> {
     max_batch: usize,
     events: &'a [FaultEvent],
     retry: &'a RetryPolicy,
+    /// The deployment's KV capacity in tokens.
     capacity: u64,
+    /// Each rank's KV page budget, for [`SchedulerState::kv_pressure`].
+    shards: KvShards,
+    /// KV pages the residents reserve, each for its whole lifetime
+    /// (`prompt + output`), the same count on every rank: admission keeps
+    /// it within the capacity in pages.
+    reserved_pages: u64,
     next_event: usize,
     books: FaultBooks,
     /// Chunked-prefill mode (default at pp ≥ 2, or forced via
     /// `EngineBuilder::chunked_prefill`): fresh prefills stream through
-    /// the pipeline in per-stage chunks between decode steps, and
-    /// admission is gated by the *live* per-rank KV shards instead of the
-    /// scalar capacity alone. `None` pins the legacy whole-prefill
-    /// arithmetic bit-for-bit.
+    /// the pipeline in per-stage chunks between decode steps. `None`
+    /// charges each prefill whole at admission.
     stream: Option<StreamBooks>,
     /// Prefix caching (opt-in via `EngineBuilder::prefix_caching`): the
-    /// registry interns shared-prefix hashes on its own overlay shards and
+    /// registry interns shared-prefix hashes on its own page budget and
     /// forks them copy-on-write on hit, so admission charges prefill for
     /// the unshared suffix only. `None` — the default — touches no legacy
     /// code path, keeping caching-off runs bit-identical.
@@ -615,13 +592,13 @@ impl<'a> SchedulerState<'a> {
         retry: &'a RetryPolicy,
     ) -> Self {
         let stream = engine.chunked_prefill().then(|| StreamBooks {
-            shards: engine.kv_shards(),
             chunk_cost: HashMap::new(),
             n_chunks: engine.cluster().pp().max(1),
         });
+        let shards = engine.kv_shards();
         let registry = engine
             .prefix_caching()
-            .then(|| PrefixRegistry::new(engine.kv_shards(), policy.prefix_victim()));
+            .then(|| PrefixRegistry::new(shards.clone(), policy.prefix_victim()));
         SchedulerState {
             engine,
             policy,
@@ -629,6 +606,8 @@ impl<'a> SchedulerState<'a> {
             events: plan.events(),
             retry,
             capacity: engine.kv_capacity_tokens(),
+            shards,
+            reserved_pages: 0,
             next_event: 0,
             books: FaultBooks {
                 state: FaultState::new(engine.cluster().total_ranks()),
@@ -706,6 +685,12 @@ impl<'a> SchedulerState<'a> {
             resolved.sort_unstable();
             self.pushed.sort_unstable();
             assert_eq!(resolved, self.pushed, "every arrival resolves exactly once");
+            assert_eq!(self.reserved_pages, 0, "a finished run still reserves KV");
+        }
+        if cfg!(debug_assertions) {
+            if let Some(reg) = &self.registry {
+                reg.assert_no_forks();
+            }
         }
 
         // Close the books: a run can end while degraded or with a recovery
@@ -746,22 +731,20 @@ impl<'a> SchedulerState<'a> {
     }
 
     /// Live KV occupancy of `rank` in `[0, 1]`, read off the books
-    /// admission keeps: the streaming shards' page occupancy under chunked
-    /// prefill (an invalidated rank reads `1.0`), and otherwise the
-    /// residents' whole-lifetime token reservations over the deployment's
-    /// capacity, the same for every rank.
+    /// admission keeps: the pages the residents reserve over the rank's
+    /// page budget (every rank holds a slice of every resident). A dead or
+    /// zero-budget rank reads `1.0`: it admits nothing, so a router
+    /// reading pressure steers away from it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rank` is out of range.
     pub fn kv_pressure(&self, rank: usize) -> f64 {
-        match &self.stream {
-            Some(s) => s.shards.rank_pressure(rank),
-            None if self.capacity == 0 => 1.0,
-            None => {
-                let reserved: u64 = self
-                    .running
-                    .iter()
-                    .map(|f| f.req.prompt_len + f.req.output_len)
-                    .sum();
-                reserved as f64 / self.capacity as f64
-            }
+        let pages = self.shards.rank_pages(rank);
+        if pages == 0 || self.books.state.dead.contains(&rank) {
+            1.0
+        } else {
+            self.reserved_pages as f64 / pages as f64
         }
     }
 
@@ -798,7 +781,9 @@ impl<'a> SchedulerState<'a> {
                             }
                         }
                     }
-                    self.decode_round().map_or(Phase::Round, Phase::FastForward)
+                    let ff = self.decode_round();
+                    self.assert_kv_books();
+                    ff.map_or(Phase::Round, Phase::FastForward)
                 }
                 Phase::FastForward(ff) => match self.fast_forward(ff) {
                     Some(rest) => {
@@ -809,6 +794,29 @@ impl<'a> SchedulerState<'a> {
                 },
             };
         }
+    }
+
+    /// Debug builds: the reservations add up to the residents' lifetime
+    /// pages and fit the capacity admission reads now.
+    fn assert_kv_books(&self) {
+        #[cfg(debug_assertions)]
+        {
+            let held: u64 = self.running.iter().map(|f| lifetime_pages(&f.req)).sum();
+            assert_eq!(self.reserved_pages, held, "KV reservations drifted");
+            assert!(
+                self.reserved_pages <= self.capacity_pages_now(),
+                "{} KV pages reserved over a capacity of {}",
+                self.reserved_pages,
+                self.capacity_pages_now()
+            );
+        }
+    }
+
+    /// Pages admission may fill now: the capacity in tokens, re-planned
+    /// around dead ranks (integer scaling: the same `u64` while every rank
+    /// is alive), in whole pages.
+    fn capacity_pages_now(&self) -> u64 {
+        self.books.state.scaled_capacity(self.capacity) / PAGE_TOKENS
     }
 
     fn assert_clock_monotone(&mut self) {
@@ -907,16 +915,14 @@ impl<'a> SchedulerState<'a> {
             "policy selected an unarrived request"
         );
         let cand = self.pending[pick];
+        let need = lifetime_pages(&cand.req);
 
         // A request whose lifetime KV demand exceeds capacity can never
         // run: reject it up front, before it evicts innocent victims.
         // Judged against *full* capacity — a degraded deployment may
         // recover, so the verdict must not depend on the fault state.
-        if cand.req.prompt_len + cand.req.output_len > self.capacity {
-            self.rejections.push(Rejection {
-                id: cand.req.id,
-                reason: RejectReason::Oversized,
-            });
+        if need > self.capacity / PAGE_TOKENS {
+            self.reject(cand.req.id, RejectReason::Oversized);
             self.pending.remove(pick);
             self.books.resolve_victim(cand.req.id, self.now);
             return Pass::Again;
@@ -930,22 +936,13 @@ impl<'a> SchedulerState<'a> {
             && cand.retries == 0
             && cand.req.priority == PriorityClass::Batch
         {
-            self.rejections.push(Rejection {
-                id: cand.req.id,
-                reason: RejectReason::BrownoutShed,
-            });
+            self.reject(cand.req.id, RejectReason::BrownoutShed);
             self.books.rob.shed += 1;
             self.pending.remove(pick);
             return Pass::Again;
         }
 
-        // Capacity re-planned around dead ranks (integer scaling; full
-        // capacity — the same u64 — while every rank is alive).
-        let cap_now = if self.books.state.dead.is_empty() {
-            self.capacity
-        } else {
-            self.books.state.scaled_capacity(self.capacity)
-        };
+        let cap_now = self.capacity_pages_now();
 
         // Preempt victims until the candidate fits or the policy (or the
         // per-request cap, as a backstop for custom policies that name a
@@ -954,8 +951,7 @@ impl<'a> SchedulerState<'a> {
         // the insertions rather than re-located.
         let mut cand_idx = pick;
         let mut evictions_left = self.running.len();
-        let mut reserved = false;
-        while !self.fits(&cand, cap_now, &mut reserved) && evictions_left > 0 {
+        while self.reserved_pages + need > cap_now && evictions_left > 0 {
             let Some(vi) = self.policy.victim(&cand, &self.running, self.now) else {
                 break;
             };
@@ -963,8 +959,9 @@ impl<'a> SchedulerState<'a> {
                 break;
             }
             let victim = self.running.remove(vi);
+            self.reserved_pages -= lifetime_pages(&victim.req);
             if let Some(s) = self.stream.as_mut() {
-                s.unreserve(victim.req.id);
+                s.chunk_cost.remove(&victim.req.id);
             }
             self.preemptions += 1;
             // Page-out preemption pays the host-bound PCIe transfer at
@@ -996,54 +993,21 @@ impl<'a> SchedulerState<'a> {
             evictions_left -= 1;
         }
 
-        if !self.fits(&cand, cap_now, &mut reserved) {
-            return self.refuse(cand, cand_idx, reserved);
+        if self.reserved_pages + need > cap_now {
+            return self.refuse(cand, cand_idx);
         }
         self.admit(cand_idx, cand);
         Pass::Again
     }
 
-    /// Whether `cand` fits the batch: the scalar whole-lifetime KV demand
-    /// against `cap_now`, then — in streaming mode — real pages on every
-    /// alive rank. The page reservation is sticky: once taken it is kept
-    /// across further checks, and released only if the candidate
-    /// ultimately fails to admit.
-    fn fits(&mut self, cand: &QueuedRequest, cap_now: u64, reserved: &mut bool) -> bool {
-        let demand = self
-            .running
-            .iter()
-            .map(|f| f.req.prompt_len + f.req.output_len)
-            .sum::<u64>()
-            + cand.req.prompt_len
-            + cand.req.output_len;
-        if demand > cap_now {
-            false
-        } else if let Some(s) = self.stream.as_mut() {
-            if !*reserved {
-                *reserved = s.try_reserve(cand);
-            }
-            *reserved
-        } else {
-            true
-        }
-    }
-
     /// The policy's pick does not fit even after preemption.
-    fn refuse(&mut self, cand: QueuedRequest, cand_idx: usize, reserved: bool) -> Pass {
-        // A stranded reservation (scalar gate failed after the shards
-        // accepted) must be handed back before the hold.
-        if reserved {
-            if let Some(s) = self.stream.as_mut() {
-                s.unreserve(cand.req.id);
-            }
-        }
+    fn refuse(&mut self, cand: QueuedRequest, cand_idx: usize) -> Pass {
         if self.running.is_empty() {
             // With every rank alive a lone non-oversized candidate always
-            // fits: the scalar capacity is the min over per-rank shard
-            // capacities. So only degraded capacity refuses one. Wait for
-            // the next fault event (a repair restores capacity); with none
-            // left, the capacity is gone for good — typed rejection, not an
-            // infinite stall.
+            // fits: the oversized check read the same capacity. So only
+            // degraded capacity refuses one. Wait for the next fault event
+            // (a repair restores capacity); with none left, the capacity is
+            // gone for good — typed rejection, not an infinite stall.
             debug_assert!(
                 !self.books.state.dead.is_empty(),
                 "lone candidate refused with every rank alive"
@@ -1080,6 +1044,7 @@ impl<'a> SchedulerState<'a> {
         debug_assert_eq!(self.pending[cand_idx], cand, "candidate index tracked");
         let q = self.pending.remove(cand_idx);
         self.books.resolve_victim(q.req.id, self.now);
+        self.reserved_pages += lifetime_pages(&q.req);
         // Prefix-cache lookup: a fresh prefill that declares a shared
         // prefix may fork the cached copy and prefill only the suffix.
         // Fault-retry recomputes stay full-price — the dead rank's KV
@@ -1117,13 +1082,10 @@ impl<'a> SchedulerState<'a> {
         // still prefilling and pays `cost / n_chunks` per chunk as chunks
         // ride the pipeline's micro-batch slots between decode steps.
         // Resumes (page-in, recompute) stay serial — they rebuild KV, they
-        // don't stream the prompt through the stages. Classes opted out via
-        // `EngineBuilder::whole_prefill_for` also stay serial: their
-        // prompts take the legacy admission charge while the rest of the
-        // traffic keeps chunking.
+        // don't stream the prompt through the stages.
         let mut chunks_left = 0u32;
         match self.stream.as_mut() {
-            Some(s) if q.resume_generated == 0 && !engine.whole_prefill_for(q.req.priority) => {
+            Some(s) if q.resume_generated == 0 => {
                 chunks_left = s.n_chunks;
                 s.chunk_cost.insert(q.req.id, cost / f64::from(s.n_chunks));
             }
@@ -1288,12 +1250,17 @@ impl<'a> SchedulerState<'a> {
                 f.first_token_s = Some(now);
             }
         }
-        let (stream, registry, completions) =
-            (&mut self.stream, &mut self.registry, &mut self.completions);
+        let (stream, registry, completions, reserved) = (
+            &mut self.stream,
+            &mut self.registry,
+            &mut self.completions,
+            &mut self.reserved_pages,
+        );
         self.running.retain(|f| {
             if !f.is_prefilling() && f.generated >= f.req.output_len {
+                *reserved -= lifetime_pages(&f.req);
                 if let Some(s) = stream.as_mut() {
-                    s.unreserve(f.req.id);
+                    s.chunk_cost.remove(&f.req.id);
                 }
                 if let Some(reg) = registry.as_mut() {
                     reg.release(f.req.id);
@@ -1387,82 +1354,22 @@ impl<'a> SchedulerState<'a> {
     /// robustness books. Called at the top of each scheduler round and
     /// after every time jump, so no event is skipped over.
     fn faults_due(&mut self) {
-        let books = &mut self.books;
         // Link windows expire by time, not by a plan event.
-        if books.state.link_factor != 1.0 && self.now >= books.state.link_until {
-            books.state.link_factor = 1.0;
+        let state = &mut self.books.state;
+        if state.link_factor != 1.0 && self.now >= state.link_until {
+            state.link_factor = 1.0;
         }
         while let Some(&ev) = self.events.get(self.next_event) {
             if ev.at_s > self.now {
                 break;
             }
             self.next_event += 1;
+            let books = &mut self.books;
             books.rob.faults_injected += 1;
             match ev.kind {
-                FaultKind::RankFail { rank } => {
-                    let rank = rank % books.state.total_ranks;
-                    if !books.state.dead.insert(rank) {
-                        continue; // already dead
-                    }
-                    if books.state.dead.len() == 1 {
-                        books.state.degraded_since = self.now;
-                    }
-                    books.rob.rank_failures += 1;
-                    if let Some(s) = self.stream.as_mut() {
-                        s.shards.invalidate_rank(rank);
-                    }
-                    if let Some(reg) = self.registry.as_mut() {
-                        reg.invalidate_rank(rank);
-                    }
-                    // KV shards mirror every sequence across all ranks, so
-                    // one dead rank invalidates the whole batch's KV: every
-                    // running request is victimized for recompute-prefill
-                    // (bounded by the retry cap), never silently continued
-                    // on garbage.
-                    for victim in self.running.drain(..) {
-                        if let Some(s) = self.stream.as_mut() {
-                            s.unreserve(victim.req.id);
-                        }
-                        let retries = victim.retries + 1;
-                        if retries > self.retry.max_retries {
-                            self.rejections.push(Rejection {
-                                id: victim.req.id,
-                                reason: RejectReason::RetriesExhausted,
-                            });
-                            if let Some(reg) = self.registry.as_mut() {
-                                reg.release(victim.req.id);
-                            }
-                            books.resolve_victim(victim.req.id, self.now);
-                            continue;
-                        }
-                        books.rob.retries += 1;
-                        books.victims_outstanding.insert(victim.req.id);
-                        let back = QueuedRequest {
-                            req: victim.req,
-                            resume_generated: victim.generated,
-                            preemptions: victim.preemptions,
-                            first_admitted_s: Some(victim.first_admitted_s),
-                            first_token_s: victim.first_token_s,
-                            retries,
-                            not_before_s: self.now + self.retry.delay_s(retries),
-                        };
-                        let pos = self
-                            .pending
-                            .partition_point(|p| p.req.arrival_s <= back.req.arrival_s);
-                        self.pending.insert(pos, back);
-                    }
-                    if !books.victims_outstanding.is_empty() && books.recover_started.is_none() {
-                        books.recover_started = Some(self.now);
-                    }
-                }
+                FaultKind::RankFail { rank } => self.rank_fail(rank),
                 FaultKind::RankRepair { rank } => {
                     let rank = rank % books.state.total_ranks;
-                    if let Some(s) = self.stream.as_mut() {
-                        s.shards.repair_rank(rank);
-                    }
-                    if let Some(reg) = self.registry.as_mut() {
-                        reg.repair_rank(rank);
-                    }
                     if books.state.dead.remove(&rank) && books.state.dead.is_empty() {
                         books.rob.downtime_s += self.now - books.state.degraded_since;
                     }
@@ -1486,6 +1393,57 @@ impl<'a> SchedulerState<'a> {
                     books.rob.refetch_s += penalty;
                 }
             }
+        }
+    }
+
+    /// Applies a [`FaultKind::RankFail`]. Every rank holds a slice of every
+    /// sequence's KV, cached prefixes included, so one dead rank loses the
+    /// whole batch's KV and the whole prefix cache: every running request
+    /// is victimized for recompute-prefill (bounded by the retry cap),
+    /// never silently continued on garbage, and the registry is cleared.
+    fn rank_fail(&mut self, rank: usize) {
+        let books = &mut self.books;
+        let rank = rank % books.state.total_ranks;
+        if !books.state.dead.insert(rank) {
+            return; // already dead
+        }
+        if books.state.dead.len() == 1 {
+            books.state.degraded_since = self.now;
+        }
+        books.rob.rank_failures += 1;
+        if let Some(reg) = self.registry.as_mut() {
+            reg.clear();
+        }
+        self.reserved_pages = 0;
+        for victim in std::mem::take(&mut self.running) {
+            if let Some(s) = self.stream.as_mut() {
+                s.chunk_cost.remove(&victim.req.id);
+            }
+            let retries = victim.retries + 1;
+            if retries > self.retry.max_retries {
+                self.reject(victim.req.id, RejectReason::RetriesExhausted);
+                self.books.resolve_victim(victim.req.id, self.now);
+                continue;
+            }
+            self.books.rob.retries += 1;
+            self.books.victims_outstanding.insert(victim.req.id);
+            let back = QueuedRequest {
+                req: victim.req,
+                resume_generated: victim.generated,
+                preemptions: victim.preemptions,
+                first_admitted_s: Some(victim.first_admitted_s),
+                first_token_s: victim.first_token_s,
+                retries,
+                not_before_s: self.now + self.retry.delay_s(retries),
+            };
+            let pos = self
+                .pending
+                .partition_point(|p| p.req.arrival_s <= back.req.arrival_s);
+            self.pending.insert(pos, back);
+        }
+        let books = &mut self.books;
+        if !books.victims_outstanding.is_empty() && books.recover_started.is_none() {
+            books.recover_started = Some(self.now);
         }
     }
 }
@@ -1547,9 +1505,10 @@ impl<'a> SchedulerState<'a> {
 ///
 /// With a non-empty plan, events apply between scheduler rounds:
 ///
-/// * **[`FaultKind::RankFail`]** — the dead rank's KV shard is lost, so
-///   the whole running batch is victimized. Each victim re-queues for
-///   recompute-prefill with an exponential backoff
+/// * **[`FaultKind::RankFail`]** — the dead rank's slice of every
+///   sequence's KV is lost, so the whole running batch is victimized and
+///   the prefix cache is cleared (its counters kept). Each victim re-queues
+///   for recompute-prefill with an exponential backoff
 ///   ([`RetryPolicy::delay_s`]); past [`RetryPolicy::max_retries`] it is
 ///   rejected as [`RejectReason::RetriesExhausted`]. Capacity and step
 ///   time are re-planned around the survivors, and fresh best-effort
@@ -1565,7 +1524,10 @@ impl<'a> SchedulerState<'a> {
 /// Every request resolves exactly once: it either completes or appears in
 /// [`ScheduleReport::rejections`] with a typed reason. Debug builds
 /// assert this at the end of every run, and assert throughout that the
-/// clock never runs backwards.
+/// clock never runs backwards. They also check the KV books: after every
+/// round the reserved pages are the residents' lifetime pages and fit the
+/// current capacity; at the end none are reserved, and the prefix cache
+/// holds no fork.
 pub fn run_policy_faulted(
     engine: &ServingEngine,
     policy: &dyn SchedulePolicy,
@@ -1971,6 +1933,67 @@ mod tests {
             0.001 + held.queue_s,
             pinned.latency_s
         );
+    }
+
+    #[test]
+    fn pressure_tracks_reservations_and_faults() {
+        // PP3 gives the stages unequal weights and layers (embedding plus
+        // 11 layers, 11, 10 plus the LM head), so one resident's pages
+        // weigh differently on each rank. The values are exactly what a
+        // least-KV-pressure router reads.
+        let engine = ServingEngine::builder()
+            .cluster(GpuCluster::pipeline_parallel(Gpu::Rtx4090, 1, 3))
+            .build();
+        let shards = engine.kv_shards();
+        let plan = FaultPlan::new().rank_fail(5.0, 0).rank_repair(6.0, 0);
+        let retry = RetryPolicy::default();
+        let mut state = SchedulerState::new(&engine, &Fcfs, 64, &plan, &retry);
+        let pressure = |s: &SchedulerState| [0, 1, 2].map(|r| s.kv_pressure(r));
+        let held = |r: usize| pages_for(1000 + 4000) as f64 / shards.rank_pages(r) as f64;
+        assert_eq!(pressure(&state), [0.0; 3]);
+        state.push(Request::new(0, 0.0, 1000, 4000));
+        state.step_until(1.0);
+        assert_eq!(pressure(&state), [held(0), held(1), held(2)]);
+        assert!(held(2) < held(0), "the last stage has the most pages");
+        // The fault victim is re-admitted while rank 0 is down: the dead
+        // rank repels routing, the survivors read the reservation.
+        state.step_until(5.5);
+        assert_eq!(pressure(&state), [1.0, held(1), held(2)]);
+        state.step_until(6.5);
+        assert_eq!(pressure(&state), [held(0), held(1), held(2)]);
+        // Completion hands the pages back.
+        state.step_until(1000.0);
+        assert_eq!(pressure(&state), [0.0; 3]);
+        assert_eq!(state.finish().completions.len(), 1);
+    }
+
+    #[test]
+    fn repaired_rank_reads_the_residents_pages_like_its_peers() {
+        // Eight long requests arrive while rank 1 is down and are still
+        // decoding after its repair: every rank, the repaired one too,
+        // holds a slice of each resident's KV.
+        let engine = ServingEngine::builder()
+            .cluster(GpuCluster::tensor_parallel(Gpu::L40s, 2))
+            .chunked_prefill(true)
+            .build();
+        let plan = FaultPlan::new().rank_fail(1.0, 1).rank_repair(2.0, 1);
+        let retry = RetryPolicy::default();
+        let mut state = SchedulerState::new(&engine, &Fcfs, 64, &plan, &retry);
+        for id in 0..8 {
+            state.push(Request::new(id, 1.0 + 0.01 * id as f64, 2048, 4096));
+        }
+        state.step_until(1.5);
+        assert_eq!(state.kv_pressure(1), 1.0, "a dead rank repels routing");
+        assert!(state.kv_pressure(0) > 0.0);
+        for t in [2.5, 3.0] {
+            state.step_until(t);
+            let (p0, p1) = (state.kv_pressure(0), state.kv_pressure(1));
+            assert!(p0 > 0.0, "residents hold pages at {t} s");
+            assert_eq!(p1, p0, "repaired rank at {t} s");
+            let held = state.running.len() as u64 * pages_for(2048 + 4096);
+            assert_eq!(p0, held as f64 / state.shards.rank_pages(0) as f64);
+        }
+        assert_eq!(state.finish().completions.len(), 8);
     }
 
     #[test]

@@ -59,8 +59,8 @@ pub mod prelude {
     pub use crate::serve::scheduler::{poisson_arrivals, Request, ScheduleReport};
     pub use crate::serve::workload::{ArrivalMix, Trace, TraceError, TrafficClass, Workload};
     pub use crate::serve::{
-        GpuCluster, KvShards, PagedKvCache, PipelineKind, PipelineSchedule, PrefixRegistry,
-        PrefixStats, PrefixVictim,
+        GpuCluster, KvShards, PipelineKind, PipelineSchedule, PrefixRegistry, PrefixStats,
+        PrefixVictim,
     };
     pub use crate::tbe::{TbeCompressor, TbeMatrix};
 }

@@ -595,65 +595,63 @@ fn chunked_pipeline_chaos_resolves_every_request_exactly_once() {
     }
 }
 
-/// Registry-level leak pin: children forked from a cached prefix across a
-/// `RankFail`/`RankRepair` cycle never leak refcounted pages. The dead
-/// rank's allocator resets, post-failure releases skip it without wedging
-/// the survivors, the repaired rank rejoins cold, and once every child is
-/// released the only pages left anywhere are the cached prefix itself.
+/// Prefix-cache pin across a `RankFail`/`RankRepair` cycle. Every rank
+/// holds a slice of every cached prefix, as it does of every resident, so
+/// a rank failure loses the whole cache: the scheduler clears the registry
+/// and keeps its counters. The forks live at the failure go with it, so
+/// their later releases are no-ops; after the repair the prefix misses
+/// once before it hits again, and once every fork is released only the
+/// prefix's own pages are held.
 #[test]
 fn prefix_forks_survive_rank_fail_repair_without_leaking_pages() {
     use zipserv::serve::kvcache::PAGE_TOKENS;
 
     let engine = builder(EngineKind::ZipServ).prefix_caching(true).build();
     let mut reg = PrefixRegistry::new(engine.kv_shards(), PrefixVictim::ColdPrefix);
-    let ranks = reg.shards().ranks();
-    assert_eq!(ranks, 2, "chaos pin assumes the TP2 deployment");
-    let total: Vec<u64> = (0..ranks)
-        .map(|i| reg.shards().rank(i).total_pages())
-        .collect();
+    let prefix_pages = 256 / PAGE_TOKENS;
 
     // Miss materializes the 256-token prefix; two follow-ups fork it CoW.
     let hash = 0xfeed_f00d;
     assert_eq!(reg.admit(1, hash, 256, 512), 0);
     assert_eq!(reg.admit(2, hash, 256, 512), 256);
     assert_eq!(reg.admit(3, hash, 256, 512), 256);
-    assert_eq!(reg.stats().pages_shared, 2 * 256 / PAGE_TOKENS);
+    assert_eq!(reg.stats().pages_shared, 2 * prefix_pages);
+    assert_eq!(reg.pages(), prefix_pages, "forks share the prefix's pages");
 
-    // Rank 0 dies mid-flight with both forks live: its allocator resets.
-    assert!(reg.invalidate_rank(0));
-    assert_eq!(
-        reg.shards().rank(0).free_pages(),
-        total[0],
-        "dead rank still holds pages after reset"
-    );
-
-    // The forks release *after* the failure — the mirrored release must
-    // skip the dead rank without leaking the survivors' pages.
+    // A rank dies with both forks live: the cache is cleared.
+    reg.clear();
+    assert_eq!(reg.pages(), 0, "the cache holds nothing after the failure");
+    let stats = reg.stats();
     reg.release(2);
     reg.release(3);
-    reg.release(3); // idempotent: double release is a no-op
+    reg.release(3);
+    assert_eq!(reg.pages(), 0, "a lost fork's release frees nothing twice");
+    assert_eq!(reg.stats(), stats, "a lost fork's release is a no-op");
 
-    assert!(reg.repair_rank(0));
-    assert_eq!(
-        reg.shards().rank(0).free_pages(),
-        total[0],
-        "repaired rank must rejoin cold"
-    );
-
-    // The cache survives on the living rank: a post-repair request still
-    // hits, forks, and releases cleanly.
-    assert_eq!(reg.admit(4, hash, 256, 512), 256);
+    // After the repair the prefix misses once, then hits again.
+    assert_eq!(reg.admit(4, hash, 256, 512), 0);
+    assert_eq!(reg.admit(5, hash, 256, 512), 256);
     reg.release(4);
+    reg.release(5);
+    assert_eq!(reg.pages(), prefix_pages, "only the prefix's own pages");
 
-    // With every child gone, the only pages held anywhere are the cached
-    // prefix itself on the rank that never died.
-    let prefix_pages = 256u64.div_ceil(PAGE_TOKENS);
+    // End to end: A caches the prefix and finishes; rank 0 fails and is
+    // repaired while the engine idles; B misses the lost prefix and caches
+    // it again, and C, long after, hits.
+    let req = |id: u64, at: f64| Request::new(id, at, 512, 8).with_shared_prefix(hash, 256);
+    let a_done = run_policy(&engine, &Fcfs, 64, vec![req(0, 0.0)]).duration_s;
+    let plan = FaultPlan::new()
+        .rank_fail(a_done + 0.1, 0)
+        .rank_repair(a_done + 0.2, 0);
+    let trace = vec![req(0, 0.0), req(1, a_done + 0.3), req(2, a_done + 10.0)];
+    let report = run_policy_faulted(&engine, &Fcfs, 64, trace, &plan, &RetryPolicy::default());
+    assert_eq!(report.completions.len(), 3);
+    let p = report.prefix;
     assert_eq!(
-        reg.shards().rank(1).free_pages(),
-        total[1] - prefix_pages,
-        "surviving rank leaked fork pages"
+        (p.lookups, p.hits, p.misses),
+        (3, 1, 2),
+        "A and B miss, C hits"
     );
-    assert_eq!(reg.shards().rank(0).free_pages(), total[0]);
 }
 
 /// End-to-end chaos: prefix caching on, multi-tenant traffic, one rank

@@ -196,54 +196,6 @@ fn autoscale_round_trips_up_and_down() {
     assert_eq!(report.completed(), total, "autoscaling lost requests");
 }
 
-/// Per-class prefill admission: a fleet whose Batch class opts out of
-/// chunked prefill still serves interactive traffic through the chunked
-/// path — interactive p99 TTFT stays below the all-whole-prefill fleet,
-/// while the opt-out visibly changes scheduling vs. fully-chunked.
-#[test]
-fn batch_whole_prefill_coexists_with_chunked_interactive() {
-    let build = |mode: u8| {
-        let mut b = ServingEngine::builder()
-            .kind(EngineKind::ZipServ)
-            .model(LlmModel::Llama31_8b)
-            .cluster(GpuCluster::pipeline_parallel(Gpu::L40s, 1, 2))
-            .policy(Priority::default());
-        b = match mode {
-            0 => b,                                         // fully chunked (pp ≥ 2 default)
-            1 => b.whole_prefill_for(PriorityClass::Batch), // Batch opts out
-            _ => b.chunked_prefill(false),                  // nothing chunked
-        };
-        b.build()
-    };
-    let arrivals = ArrivalMix::paper_mix().generate(12.0, 80, 37);
-    let run = |mode: u8| {
-        FleetRouter::new(RoundRobin::default())
-            .with_replicas(&build(mode), 2)
-            .run(arrivals.clone())
-    };
-    let chunked = run(0);
-    let mixed = run(1);
-    let legacy = run(2);
-    assert_eq!(chunked.completed(), 80);
-    assert_eq!(mixed.completed(), 80);
-    assert_eq!(legacy.completed(), 80);
-
-    assert_ne!(
-        mixed, chunked,
-        "Batch whole-prefill opt-out changed nothing vs. fully chunked"
-    );
-    let p99 = |r: &FleetReport| {
-        r.class_ttft_percentile(PriorityClass::Interactive, 0.99)
-            .expect("interactive completions")
-    };
-    assert!(
-        p99(&mixed) < p99(&legacy),
-        "interactive traffic lost its chunked-prefill benefit: {:.4}s vs legacy {:.4}s",
-        p99(&mixed),
-        p99(&legacy)
-    );
-}
-
 /// The PR's acceptance criterion: on the paper mix at 4 replicas under
 /// sustained near-saturation load, power-of-two-choices beats
 /// round-robin on interactive p99 TTFT while keeping at least 95% of its

@@ -133,11 +133,13 @@ fn pipeline_stages_speed_prefill_and_charge_decode_bubble() {
     );
 }
 
-/// Per-rank KV partitioning: the deployment exposes one allocator per rank
-/// of the `tp × pp` grid, the usable capacity is the *minimum* across
+/// Per-rank KV partitioning: the deployment exposes one page budget per
+/// rank of the `tp × pp` grid, the usable capacity is the *minimum* across
 /// ranks, and an uneven GQA head split makes the fat rank the bottleneck.
 #[test]
 fn kv_is_partitioned_per_rank_and_bottlenecked_by_the_fattest() {
+    use zipserv::serve::kvcache::PAGE_TOKENS;
+
     // 4×L40S TP: 4 symmetric ranks (8 KV heads / 4 = 2 each).
     let tp4 = ServingEngine::builder()
         .kind(EngineKind::ZipServ)
@@ -148,8 +150,8 @@ fn kv_is_partitioned_per_rank_and_bottlenecked_by_the_fattest() {
     assert_eq!(shards.ranks(), 4);
     for r in 1..4 {
         assert_eq!(
-            shards.rank(r).total_pages(),
-            shards.rank(0).total_pages(),
+            shards.rank_pages(r),
+            shards.rank_pages(0),
             "even head split: symmetric ranks"
         );
     }
@@ -165,12 +167,12 @@ fn kv_is_partitioned_per_rank_and_bottlenecked_by_the_fattest() {
     let shards = tp3.kv_shards();
     assert_eq!(shards.ranks(), 3);
     assert!(
-        shards.rank(0).capacity_tokens() < shards.rank(2).capacity_tokens(),
+        shards.rank_pages(0) < shards.rank_pages(2),
         "fat rank has fewer token slots"
     );
     assert_eq!(
         shards.capacity_tokens(),
-        shards.rank(0).capacity_tokens(),
+        shards.rank_pages(0) * PAGE_TOKENS,
         "deployment capacity is the bottleneck rank's"
     );
 

@@ -7,13 +7,26 @@
 //!
 //! The digests were recorded from the scheduler before it gained its
 //! arrival cursor and decode fast-forward. Both are pure speedups, so
-//! every report must stay bit-identical. One pin was re-recorded since:
-//! `fleet/p2c_x4/paper_6`, when the fleet stopped routing on an estimated
-//! shadow of each replica and began routing on the replicas' live state
-//! (power-of-two-choices reads in-flight depth, so its placements moved;
-//! session affinity routes by tenant hash and its pin held). On a
-//! mismatch the failure message prints the whole current table, ready to
-//! paste back after an intended behaviour change.
+//! every report must stay bit-identical. Seven pins were re-recorded since:
+//!
+//! * `fleet/p2c_x4/paper_6`, when the fleet stopped routing on an
+//!   estimated shadow of each replica and began routing on the replicas'
+//!   live state (power-of-two-choices reads in-flight depth, so its
+//!   placements moved; session affinity routes by tenant hash and its pin
+//!   held);
+//! * the five `*/rtx4090_chunked_prefix/tenant_2/faulted` pins and
+//!   `fleet/affinity_x4/tenant_8/faulted`, when a rank failure began to
+//!   clear the prefix cache. Every rank holds a slice of every cached
+//!   prefix, as it does of every resident, so the failure loses the
+//!   cache's KV too. Before, a single-rank replica kept the cache's
+//!   entries across the failure while the repaired rank forgot their
+//!   pages: those entries missed on every lookup without being cached
+//!   again, and the pages they claimed went to other prefixes, so the
+//!   cache over-committed its budget. Page counting replaced page
+//!   allocation in the same change and moved no other pin.
+//!
+//! On a mismatch the failure message prints the whole current table,
+//! ready to paste back after an intended behaviour change.
 
 use std::collections::HashSet;
 
@@ -151,7 +164,7 @@ const PINS: &[(&str, u64)] = &[
     ("fcfs/rtx4090_chunked_prefix/paper_12/clean", 0xb3b97b06d61d3af7),
     ("fcfs/rtx4090_chunked_prefix/paper_12/faulted", 0xe93435c971fbc165),
     ("fcfs/rtx4090_chunked_prefix/tenant_2/clean", 0x56e6f1713a2571c7),
-    ("fcfs/rtx4090_chunked_prefix/tenant_2/faulted", 0x69d7fab2112ed691),
+    ("fcfs/rtx4090_chunked_prefix/tenant_2/faulted", 0x5461bd6bc55582e7),
     ("fcfs/l40s_pp2_chunked/paper_1.6/clean", 0x8d11d1115bb3e3ce),
     ("fcfs/l40s_pp2_chunked/paper_1.6/faulted", 0x886fe1efa6655993),
     ("fcfs/l40s_pp2_chunked/paper_12/clean", 0xf82c3b5d45cd3d7e),
@@ -169,7 +182,7 @@ const PINS: &[(&str, u64)] = &[
     ("priority/rtx4090_chunked_prefix/paper_12/clean", 0x85c50c071439d8c0),
     ("priority/rtx4090_chunked_prefix/paper_12/faulted", 0x9e3f6fa994d535fd),
     ("priority/rtx4090_chunked_prefix/tenant_2/clean", 0xa598abc56753baa7),
-    ("priority/rtx4090_chunked_prefix/tenant_2/faulted", 0xf0717111d5244433),
+    ("priority/rtx4090_chunked_prefix/tenant_2/faulted", 0x0d8d6986db729ecc),
     ("priority/l40s_pp2_chunked/paper_1.6/clean", 0xe6772770a594e031),
     ("priority/l40s_pp2_chunked/paper_1.6/faulted", 0x021ba54cd97d9de4),
     ("priority/l40s_pp2_chunked/paper_12/clean", 0xab06dce02f92ca76),
@@ -187,7 +200,7 @@ const PINS: &[(&str, u64)] = &[
     ("slo-edf/rtx4090_chunked_prefix/paper_12/clean", 0x9c7eb9751b76058b),
     ("slo-edf/rtx4090_chunked_prefix/paper_12/faulted", 0xcf42a754ce205462),
     ("slo-edf/rtx4090_chunked_prefix/tenant_2/clean", 0x3ffd260ad4b61572),
-    ("slo-edf/rtx4090_chunked_prefix/tenant_2/faulted", 0x2173963c2c09e48a),
+    ("slo-edf/rtx4090_chunked_prefix/tenant_2/faulted", 0x76833ad29cfb09a7),
     ("slo-edf/l40s_pp2_chunked/paper_1.6/clean", 0x2cc9c3b0873e6afe),
     ("slo-edf/l40s_pp2_chunked/paper_1.6/faulted", 0x4e84e3da86f455ff),
     ("slo-edf/l40s_pp2_chunked/paper_12/clean", 0x2ee232c99904eb78),
@@ -205,7 +218,7 @@ const PINS: &[(&str, u64)] = &[
     ("preemptive-sjf/rtx4090_chunked_prefix/paper_12/clean", 0xf545d9d0c41f51b6),
     ("preemptive-sjf/rtx4090_chunked_prefix/paper_12/faulted", 0x1754e99393cdaa90),
     ("preemptive-sjf/rtx4090_chunked_prefix/tenant_2/clean", 0x28387d625b5c835a),
-    ("preemptive-sjf/rtx4090_chunked_prefix/tenant_2/faulted", 0x87488d357593b2af),
+    ("preemptive-sjf/rtx4090_chunked_prefix/tenant_2/faulted", 0x31773582f049aaa2),
     ("preemptive-sjf/l40s_pp2_chunked/paper_1.6/clean", 0xced47ae7ccd324a4),
     ("preemptive-sjf/l40s_pp2_chunked/paper_1.6/faulted", 0xead660cf96289c0f),
     ("preemptive-sjf/l40s_pp2_chunked/paper_12/clean", 0xa815888ae202a397),
@@ -223,7 +236,7 @@ const PINS: &[(&str, u64)] = &[
     ("preemptive-sjf-pageout/rtx4090_chunked_prefix/paper_12/clean", 0xa170d04748a221a6),
     ("preemptive-sjf-pageout/rtx4090_chunked_prefix/paper_12/faulted", 0xee3df7f834574b68),
     ("preemptive-sjf-pageout/rtx4090_chunked_prefix/tenant_2/clean", 0xfeda71e7d980030a),
-    ("preemptive-sjf-pageout/rtx4090_chunked_prefix/tenant_2/faulted", 0xfbd9876e55996fff),
+    ("preemptive-sjf-pageout/rtx4090_chunked_prefix/tenant_2/faulted", 0xe3cbd844b052c392),
     ("preemptive-sjf-pageout/l40s_pp2_chunked/paper_1.6/clean", 0xce368f086832a90c),
     ("preemptive-sjf-pageout/l40s_pp2_chunked/paper_1.6/faulted", 0x0af88eda638ba55f),
     ("preemptive-sjf-pageout/l40s_pp2_chunked/paper_12/clean", 0x09329868e6b400e7),
@@ -231,7 +244,7 @@ const PINS: &[(&str, u64)] = &[
     ("preemptive-sjf-pageout/l40s_pp2_chunked/tenant_2/clean", 0xcf4eda8731a24b5c),
     ("preemptive-sjf-pageout/l40s_pp2_chunked/tenant_2/faulted", 0xc52624c81621bd56),
     ("fleet/p2c_x4/paper_6", 0x38ada58a7855f36b),
-    ("fleet/affinity_x4/tenant_8/faulted", 0x66f71a37a2349edb),
+    ("fleet/affinity_x4/tenant_8/faulted", 0xfdba44f8815141e4),
 ];
 
 #[test]
