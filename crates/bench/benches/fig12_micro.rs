@@ -4,7 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use zipserv_bench::figures;
 use zipserv_bf16::gen::WeightGen;
-use zipserv_core::decompress::{decode_tile_lanewise, decode_tile_lut, decode_tile_simd};
+use zipserv_core::decompress::{decode_tile_lanewise, decode_tile_lut};
 use zipserv_core::{TbeCompressor, ZipGemm};
 
 fn bench(c: &mut Criterion) {
@@ -14,13 +14,10 @@ fn bench(c: &mut Criterion) {
     c.bench_function("fig12/decode_tile_lanewise", |b| {
         b.iter(|| decode_tile_lanewise(black_box(tbe.tile_view(0)), tbe.base_exp()));
     });
-    // The table-driven and plane-sliced decoders race the same tile; the
-    // lanewise/LUT ratio is gated in CI as `decode_ns_per_tile`.
+    // The table-driven decoder races the same tile; the lanewise/LUT ratio
+    // is gated in CI as `decode_ns_per_tile`.
     c.bench_function("fig12/decode_tile_lut", |b| {
         b.iter(|| decode_tile_lut(black_box(tbe.tile_view(0)), tbe.base_exp()));
-    });
-    c.bench_function("fig12/decode_tile_simd", |b| {
-        b.iter(|| decode_tile_simd(black_box(tbe.tile_view(0)), tbe.base_exp()));
     });
 
     // One BlockTile-sized fused pass, naive vs blocked: at the micro level

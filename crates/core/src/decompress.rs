@@ -1,6 +1,6 @@
 //! The thread-local decompressor (Algorithm 2) and its batched variants.
 //!
-//! Three decoders share one bit-exact contract:
+//! Two decoders share one bit-exact contract:
 //!
 //! * [`decode_tile_lanewise`] reproduces the GPU decode semantics exactly:
 //!   32 simulated lanes each reconstruct the two elements of their
@@ -12,10 +12,6 @@
 //!   branch-free table reads over 8-bit indicator windows (the pLUTo
 //!   LUT-for-logic transform applied on CPU), and an ascending bit-scan
 //!   scatter replaces per-element popcount addressing.
-//! * [`decode_tile_simd`] is a plane-sliced variant that decodes all 64
-//!   elements in whole-array passes (code spread, prefix addressing,
-//!   exponent add, gather/select) so the compiler can autovectorize each
-//!   pass independently.
 //!
 //! **Exponent contract:** the reconstructed exponent is
 //! `base_exp.saturating_add(c)`. Valid encodings can never exceed 255
@@ -23,8 +19,8 @@
 //! original exponent), which means saturation only triggers on corrupt or
 //! hand-crafted bitmaps — and then it pins the exponent at 255 (an
 //! Inf/NaN-range BF16) instead of silently wrapping into a tiny exponent
-//! that decodes to a plausible-looking wrong value. All three paths apply
-//! the identical rule.
+//! that decodes to a plausible-looking wrong value. Both paths apply the
+//! identical rule.
 //!
 //! [`decompress`] applies the LUT path across the whole matrix. A per-tile
 //! [`DecodeCost`] records the instruction mix the GPU model prices, one
@@ -79,14 +75,15 @@ pub static SPREAD: [u64; 256] = build_spread();
 /// Packed prefix-popcount table: nibble `j` of `PREFIX[b]` is the popcount
 /// of the low `j` bits of `b` — the within-window half of popcount dynamic
 /// addressing, as a single table read instead of eight masked popcounts.
+/// The modeled GPU decoder reads it; [`DecodeCost::TCA_TBE_LUT`] prices
+/// those reads.
 pub static PREFIX: [u32; 256] = build_prefix();
 
 /// Decodes one FragTile exactly as a warp would: lane by lane, register
 /// pair by register pair.
 ///
 /// Returns the 64 elements in row-major tile order. This is the
-/// bit-exactness reference for [`decode_tile_lut`] and
-/// [`decode_tile_simd`].
+/// bit-exactness reference for [`decode_tile_lut`].
 pub fn decode_tile_lanewise(view: TileView<'_>, base_exp: u8) -> [Bf16; FRAG_ELEMS] {
     // Step 1: spatial indicator construction (one warp-wide OR).
     let indicator = view.bitmaps[0] | view.bitmaps[1] | view.bitmaps[2];
@@ -205,66 +202,6 @@ pub fn decode_tile_lut(view: TileView<'_>, base_exp: u8) -> [Bf16; FRAG_ELEMS] {
         let p = ones.trailing_zeros() as usize & 63;
         out[p] = Bf16::from_packed(packed, base_exp.saturating_add(codes[p]));
         ones &= ones - 1;
-    }
-    out
-}
-
-/// Plane-sliced FragTile decode: all 64 elements in SIMD-friendly passes.
-///
-/// Instead of finishing each element before starting the next, four
-/// whole-tile passes each touch every element once — (1) bitmask spread of
-/// the three planes into a byte-per-element code array, (2) popcount-prefix
-/// addressing for all positions, (3) the saturating exponent add, and
-/// (4) the dual gather + select. Each pass is a straight-line loop over
-/// fixed 64-element arrays, the layout autovectorizers want. Bitwise
-/// identical to [`decode_tile_lanewise`] for every valid tile view.
-pub fn decode_tile_simd(view: TileView<'_>, base_exp: u8) -> [Bf16; FRAG_ELEMS] {
-    let [b0, b1, b2] = *view.bitmaps;
-    let indicator = b0 | b1 | b2;
-    if indicator == 0 {
-        return decode_all_fallback(view);
-    }
-    if indicator == u64::MAX {
-        return decode_all_high_freq(view, base_exp);
-    }
-
-    // Pass 1: spread the three bit planes into one code byte per element.
-    let mut codes = [0u8; FRAG_ELEMS];
-    for w in 0..WINDOWS {
-        let spread = SPREAD[(b0 >> (8 * w)) as u8 as usize]
-            | (SPREAD[(b1 >> (8 * w)) as u8 as usize] << 1)
-            | (SPREAD[(b2 >> (8 * w)) as u8 as usize] << 2);
-        codes[8 * w..8 * w + 8].copy_from_slice(&spread.to_le_bytes());
-    }
-
-    // Pass 2: popcount-prefix addressing for every position.
-    let mut hf_idx = [0u8; FRAG_ELEMS];
-    let mut running = 0u32;
-    for w in 0..WINDOWS {
-        let ind8 = (indicator >> (8 * w)) as u8;
-        let prefix = PREFIX[ind8 as usize];
-        for j in 0..8 {
-            hf_idx[8 * w + j] = (running + ((prefix >> (4 * j)) & 0xF)) as u8;
-        }
-        running += ind8.count_ones();
-    }
-
-    // Pass 3: implicit exponent lookup (saturating add, branch-free).
-    let mut exps = [0u8; FRAG_ELEMS];
-    for (e, &c) in exps.iter_mut().zip(codes.iter()) {
-        *e = base_exp.saturating_add(c);
-    }
-
-    // Pass 4: dual gather + select (mixed tile: both buffers non-empty).
-    let hf_last = view.high_freq.len() - 1;
-    let fb_last = view.fallback.len() - 1;
-    let mut out = [Bf16::ZERO; FRAG_ELEMS];
-    for p in 0..FRAG_ELEMS {
-        let hf = (hf_idx[p] as usize).min(hf_last);
-        let fb = (p - hf_idx[p] as usize).min(fb_last);
-        let hf_val = Bf16::from_packed(view.high_freq[hf], exps[p]);
-        let fb_val = Bf16::from_bits(view.fallback[fb]);
-        out[p] = if codes[p] != 0 { hf_val } else { fb_val };
     }
     out
 }
@@ -394,11 +331,10 @@ mod tests {
         }
     }
 
-    fn all_paths(view: TileView<'_>, base: u8) -> [[Bf16; FRAG_ELEMS]; 3] {
+    fn all_paths(view: TileView<'_>, base: u8) -> [[Bf16; FRAG_ELEMS]; 2] {
         [
             decode_tile_lanewise(view, base),
             decode_tile_lut(view, base),
-            decode_tile_simd(view, base),
         ]
     }
 
@@ -420,7 +356,7 @@ mod tests {
     }
 
     #[test]
-    fn lut_and_simd_match_lanewise_on_mixed_tile() {
+    fn lut_matches_lanewise_on_mixed_tile() {
         let weights: [Bf16; 64] = core::array::from_fn(|i| {
             if i % 7 == 0 {
                 Bf16::from_f32(1e30)
@@ -430,9 +366,8 @@ mod tests {
         });
         let base = Bf16::from_f32(0.02).exponent() - 4;
         let enc = EncodedTile::encode(&weights, base);
-        let [lanewise, lut, simd] = all_paths(encode_view(&enc), base);
+        let [lanewise, lut] = all_paths(encode_view(&enc), base);
         assert_eq!(lanewise, lut);
-        assert_eq!(lanewise, simd);
         assert_eq!(lut, weights);
     }
 
@@ -485,9 +420,8 @@ mod tests {
                 fallback: &fallback,
             };
             let expect_exp = base.saturating_add(5);
-            let [lanewise, lut, simd] = all_paths(view, base);
+            let [lanewise, lut] = all_paths(view, base);
             assert_eq!(lanewise, lut, "base={base}");
-            assert_eq!(lanewise, simd, "base={base}");
             for (i, v) in lanewise.iter().enumerate() {
                 assert_eq!(v.exponent(), expect_exp, "base={base} elem={i}");
                 assert_eq!(
@@ -525,9 +459,8 @@ mod tests {
         let weights: [Bf16; 64] = core::array::from_fn(|i| Bf16::from_f32(1.0 + i as f32));
         let enc = EncodedTile::encode(&weights, 200);
         assert_eq!(enc.indicator(), 0);
-        let [lanewise, lut, simd] = all_paths(encode_view(&enc), 200);
+        let [lanewise, lut] = all_paths(encode_view(&enc), 200);
         assert_eq!(lanewise, lut);
-        assert_eq!(lanewise, simd);
         assert_eq!(lut, weights);
 
         // All-high-freq (indicator == all ones).
@@ -540,9 +473,8 @@ mod tests {
         });
         let enc = EncodedTile::encode(&weights, 123);
         assert_eq!(enc.indicator(), u64::MAX);
-        let [lanewise, lut, simd] = all_paths(encode_view(&enc), 123);
+        let [lanewise, lut] = all_paths(encode_view(&enc), 123);
         assert_eq!(lanewise, lut);
-        assert_eq!(lanewise, simd);
         assert_eq!(lut, weights);
     }
 
@@ -555,9 +487,8 @@ mod tests {
             weights[pos] = Bf16::from_parts(0, 125, 0x11);
             let enc = EncodedTile::encode(&weights, 123);
             assert_eq!(enc.high_freq_count(), 1, "pos={pos}");
-            let [lanewise, lut, simd] = all_paths(encode_view(&enc), 123);
+            let [lanewise, lut] = all_paths(encode_view(&enc), 123);
             assert_eq!(lanewise, lut, "pos={pos}");
-            assert_eq!(lanewise, simd, "pos={pos}");
             assert_eq!(lut, weights, "pos={pos}");
         }
     }
@@ -582,15 +513,14 @@ mod tests {
 
     #[test]
     fn matrix_tiles_agree_across_paths() {
-        // Every tile of a real compressed matrix decodes identically on all
-        // three paths (exercises padded block-boundary views).
+        // Every tile of a real compressed matrix decodes identically on
+        // both paths (exercises padded block-boundary views).
         let w = WeightGen::new(0.018).seed(33).matrix(128, 128);
         let tbe = TbeCompressor::new().compress(&w).unwrap();
         for seq in 0..tbe.tile_count() {
             let view = tbe.tile_view(seq);
-            let [lanewise, lut, simd] = all_paths(view, tbe.base_exp());
+            let [lanewise, lut] = all_paths(view, tbe.base_exp());
             assert_eq!(lanewise, lut, "seq={seq}");
-            assert_eq!(lanewise, simd, "seq={seq}");
         }
     }
 

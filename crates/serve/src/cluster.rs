@@ -79,34 +79,9 @@ impl GpuCluster {
         c
     }
 
-    /// The same deployment with a different tensor-parallel degree
-    /// (re-deriving the tier-appropriate intra-stage link).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tp == 0`.
-    pub fn with_tp(self, tp: u32) -> Self {
-        GpuCluster::pipeline_parallel(self.gpu, tp, self.pp)
-    }
-
-    /// The same deployment with a different pipeline-parallel degree
-    /// (re-deriving the inter-stage link).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pp == 0`.
-    pub fn with_pp(self, pp: u32) -> Self {
-        GpuCluster::pipeline_parallel(self.gpu, self.count, pp)
-    }
-
     /// The device specification.
     pub fn spec(&self) -> DeviceSpec {
         self.gpu.spec()
-    }
-
-    /// Aggregate DRAM capacity in bytes across every rank.
-    pub fn total_dram_bytes(&self) -> u64 {
-        (self.spec().dram_gib * self.total_devices() as f64 * 1024.0 * 1024.0 * 1024.0) as u64
     }
 
     /// Per-GPU DRAM capacity in bytes.
@@ -149,24 +124,6 @@ impl GpuCluster {
     pub fn total_ranks(&self) -> usize {
         self.total_devices() as usize
     }
-
-    /// The pipeline stage a flat rank index belongs to.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rank` is out of range.
-    pub fn rank_stage(&self, rank: usize) -> u32 {
-        assert!(rank < self.total_ranks(), "rank out of range");
-        rank as u32 / self.count
-    }
-
-    /// Fraction of compute capacity left with `dead` ranks down — the
-    /// re-planning factor the degraded scheduler applies to capacity and
-    /// step time (survivors absorb the dead ranks' shards).
-    pub fn survivor_fraction(&self, dead: usize) -> f64 {
-        let total = self.total_ranks();
-        total.saturating_sub(dead) as f64 / total as f64
-    }
 }
 
 #[cfg(test)]
@@ -186,7 +143,7 @@ mod tests {
         assert!(b.link_gbps > 0.0);
         assert_eq!(b.pp_link_gbps, 0.0);
         let c = GpuCluster::tensor_parallel(Gpu::L40s, 4);
-        assert_eq!(c.total_dram_bytes(), 4 * c.dram_bytes_per_gpu());
+        assert_eq!(c.total_devices(), 4);
     }
 
     #[test]
@@ -208,7 +165,7 @@ mod tests {
         assert_eq!(c.tp(), 4);
         assert_eq!(c.pp(), 2);
         assert_eq!(c.total_devices(), 8);
-        assert_eq!(c.total_dram_bytes(), 8 * c.dram_bytes_per_gpu());
+        assert_eq!(c.total_ranks(), 8);
         // Stage hops cross nodes over the fixed inter-node fabric — much
         // slower than an NVLink-class intra-stage link.
         assert_eq!(c.pp_link_gbps, INTER_NODE_GBPS);
@@ -232,34 +189,5 @@ mod tests {
         assert_eq!(c.bottleneck_stage_layers(32), 11);
         // pp=1 degenerates to the whole model on one stage.
         assert_eq!(GpuCluster::single(Gpu::Rtx4090).stage_layers(32), vec![32]);
-    }
-
-    #[test]
-    fn fault_domain_helpers() {
-        let c = GpuCluster::pipeline_parallel(Gpu::L40s, 4, 2);
-        assert_eq!(c.total_ranks(), 8);
-        // Flat ranks 0..3 are stage 0, 4..7 stage 1.
-        assert_eq!(c.rank_stage(0), 0);
-        assert_eq!(c.rank_stage(3), 0);
-        assert_eq!(c.rank_stage(4), 1);
-        assert_eq!(c.rank_stage(7), 1);
-        assert_eq!(c.survivor_fraction(0), 1.0);
-        assert_eq!(c.survivor_fraction(2), 0.75);
-        assert_eq!(c.survivor_fraction(8), 0.0);
-        assert_eq!(c.survivor_fraction(9), 0.0, "saturates, never negative");
-    }
-
-    #[test]
-    #[should_panic(expected = "rank out of range")]
-    fn rank_stage_bounds_checked() {
-        let _ = GpuCluster::single(Gpu::Rtx4090).rank_stage(1);
-    }
-
-    #[test]
-    fn with_tp_and_with_pp_rederive_links() {
-        let c = GpuCluster::single(Gpu::L40s).with_tp(4).with_pp(2);
-        assert_eq!(c, GpuCluster::pipeline_parallel(Gpu::L40s, 4, 2));
-        let back = c.with_pp(1).with_tp(1);
-        assert_eq!(back, GpuCluster::single(Gpu::L40s));
     }
 }

@@ -21,7 +21,7 @@ use crate::kvcache::{pages_in, KvShards};
 use crate::memory::{MemoryPlan, PlanError, WeightFormat};
 use crate::metrics::{RunReport, StepBreakdown};
 use crate::parallel::{
-    allreduce_us, block_allreduce_bytes, p2p_us, shard_layer, stage_activation_bytes, PipelineKind,
+    allreduce_us, block_allreduce_bytes, p2p_us, shard_layer, stage_activation_bytes,
     PipelineSchedule,
 };
 use crate::policy::{Fcfs, SchedulePolicy};
@@ -148,14 +148,10 @@ pub struct EngineBuilder {
     cluster: GpuCluster,
     policy: Box<dyn SchedulePolicy>,
     max_batch: usize,
-    tp: Option<u32>,
-    pp: Option<u32>,
     micro_batches: Option<u32>,
-    pipeline_kind: PipelineKind,
     chunked_prefill: Option<bool>,
     prefix_caching: bool,
     fault_plan: FaultPlan,
-    retry: RetryPolicy,
 }
 
 /// Why [`EngineBuilder::try_build`] refused to build an engine.
@@ -164,7 +160,7 @@ pub enum EngineError {
     /// Some pipeline stage's weights plus runtime overhead exceed device
     /// capacity (the typed face of [`MemoryPlan::plan`]'s panic).
     DoesNotFit(PlanError),
-    /// A parallelism override (`tp`/`pp`) was zero.
+    /// A parallelism setting (the pipeline micro-batch count) was zero.
     InvalidParallelism(&'static str),
 }
 
@@ -191,14 +187,10 @@ impl Default for EngineBuilder {
             cluster: GpuCluster::single(Gpu::Rtx4090),
             policy: Box::new(Fcfs),
             max_batch: 64,
-            tp: None,
-            pp: None,
             micro_batches: None,
-            pipeline_kind: PipelineKind::GPipe,
             chunked_prefill: None,
             prefix_caching: false,
             fault_plan: FaultPlan::default(),
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -216,34 +208,11 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the cluster (default a single RTX 4090).
+    /// Sets the cluster (default a single RTX 4090): the `tp × pp` grid,
+    /// e.g. [`GpuCluster::pipeline_parallel`]. A 1 × 1 grid is the
+    /// single-GPU deployment, bit for bit.
     pub fn cluster(mut self, cluster: GpuCluster) -> Self {
         self.cluster = cluster;
-        self
-    }
-
-    /// Sets the tensor-parallel degree, overriding the cluster's GPU count
-    /// per stage (the intra-stage link is re-derived from the GPU tier).
-    /// `tp(1)`/`pp(1)` are exact no-ops relative to a single-device
-    /// cluster, pinned by the `parallel_serving` suite.
-    ///
-    /// # Panics
-    ///
-    /// Panics (at [`EngineBuilder::build`]) if `tp == 0`.
-    pub fn tp(mut self, tp: u32) -> Self {
-        self.tp = Some(tp);
-        self
-    }
-
-    /// Sets the pipeline-parallel degree (stages), overriding the
-    /// cluster's. Stages talk over an inter-node fabric; see
-    /// [`GpuCluster::pipeline_parallel`].
-    ///
-    /// # Panics
-    ///
-    /// Panics (at [`EngineBuilder::build`]) if `pp == 0`.
-    pub fn pp(mut self, pp: u32) -> Self {
-        self.pp = Some(pp);
         self
     }
 
@@ -255,16 +224,6 @@ impl EngineBuilder {
     /// deployment probes can round-trip bad configurations.
     pub fn micro_batches(mut self, micro_batches: u32) -> Self {
         self.micro_batches = Some(micro_batches);
-        self
-    }
-
-    /// Sets the pipeline execution schedule (default
-    /// [`PipelineKind::GPipe`], the historical fill/drain model; ignored
-    /// when `pp == 1`). [`PipelineKind::OneFOneB`] interleaves consecutive
-    /// steps 1F1B-style, cutting the steady-state decode bubble from
-    /// `pp − 1` idle slots per step to `(pp − 1) / m`.
-    pub fn pipeline_kind(mut self, kind: PipelineKind) -> Self {
-        self.pipeline_kind = kind;
         self
     }
 
@@ -329,62 +288,40 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the bounded retry-with-backoff policy applied to requests
-    /// displaced by injected faults (default [`RetryPolicy::default`]).
-    pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Builds the engine, resolving the parallelism axes and computing its
+    /// Builds the engine, resolving the pipeline defaults and computing its
     /// (bottleneck-rank) memory plan.
     ///
     /// # Panics
     ///
     /// Panics if the model does not fit the cluster (see
-    /// [`MemoryPlan::plan`]), or if a `tp`/`pp` override is zero.
+    /// [`MemoryPlan::plan`]), or if the micro-batch count is zero.
     pub fn build(self) -> ServingEngine {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`EngineBuilder::build`]: returns a typed [`EngineError`]
-    /// instead of panicking when the model does not fit the cluster or a
-    /// parallelism override is zero, so capacity re-planning after a fault
+    /// instead of panicking when the model does not fit the cluster or the
+    /// micro-batch count is zero, so capacity re-planning after a fault
     /// can probe candidate deployments without unwinding.
     pub fn try_build(self) -> Result<ServingEngine, EngineError> {
-        if self.tp == Some(0) {
-            return Err(EngineError::InvalidParallelism("tp"));
-        }
-        if self.pp == Some(0) {
-            return Err(EngineError::InvalidParallelism("pp"));
-        }
         if self.micro_batches == Some(0) {
             return Err(EngineError::InvalidParallelism("micro_batches"));
         }
-        let mut cluster = self.cluster;
-        if let Some(tp) = self.tp {
-            cluster = cluster.with_tp(tp);
-        }
-        if let Some(pp) = self.pp {
-            cluster = cluster.with_pp(pp);
-        }
-        let micro_batches = self.micro_batches.unwrap_or(2 * cluster.pp()).max(1);
-        let chunked_prefill = self.chunked_prefill.unwrap_or(cluster.pp() >= 2);
-        let plan = MemoryPlan::try_plan(self.model, &cluster, self.kind.weight_format())
+        let micro_batches = self.micro_batches.unwrap_or(2 * self.cluster.pp()).max(1);
+        let chunked_prefill = self.chunked_prefill.unwrap_or(self.cluster.pp() >= 2);
+        let plan = MemoryPlan::try_plan(self.model, &self.cluster, self.kind.weight_format())
             .map_err(EngineError::DoesNotFit)?;
         let mut engine = ServingEngine {
             kind: self.kind,
             model: self.model,
-            cluster,
+            cluster: self.cluster,
             plan,
             policy: self.policy,
             max_batch: self.max_batch,
             micro_batches,
-            pipeline_kind: self.pipeline_kind,
             chunked_prefill,
             prefix_caching: self.prefix_caching,
             fault_plan: self.fault_plan,
-            retry: self.retry,
             kv_capacity: 0,
             step_memo: Arc::new(Mutex::new(HashMap::new())),
         };
@@ -403,7 +340,6 @@ pub struct ServingEngine {
     policy: Box<dyn SchedulePolicy>,
     max_batch: usize,
     micro_batches: u32,
-    pipeline_kind: PipelineKind,
     /// Resolved streaming-admission mode (default `pp >= 2`): chunked
     /// prefill in the schedulers.
     chunked_prefill: bool,
@@ -411,7 +347,6 @@ pub struct ServingEngine {
     /// the bit-compat legacy path).
     prefix_caching: bool,
     fault_plan: FaultPlan,
-    retry: RetryPolicy,
     /// KV capacity in tokens, derived once at build time (see
     /// [`ServingEngine::kv_capacity_tokens`]).
     kv_capacity: u64,
@@ -439,11 +374,9 @@ impl Clone for ServingEngine {
             policy: self.policy.clone_box(),
             max_batch: self.max_batch,
             micro_batches: self.micro_batches,
-            pipeline_kind: self.pipeline_kind,
             chunked_prefill: self.chunked_prefill,
             prefix_caching: self.prefix_caching,
             fault_plan: self.fault_plan.clone(),
-            retry: self.retry,
             kv_capacity: self.kv_capacity,
             step_memo: Arc::clone(&self.step_memo),
         }
@@ -496,12 +429,6 @@ impl ServingEngine {
         self.micro_batches
     }
 
-    /// The pipeline execution schedule this deployment runs
-    /// (default [`PipelineKind::GPipe`]; irrelevant when `pp == 1`).
-    pub fn pipeline_kind(&self) -> PipelineKind {
-        self.pipeline_kind
-    }
-
     /// Whether the schedulers charge fresh prefills as per-stage chunks
     /// advanced between decode steps rather than whole at admission; KV
     /// admission is the same either way. Resolved at build time (default
@@ -532,14 +459,11 @@ impl ServingEngine {
         &self.fault_plan
     }
 
-    /// The retry-with-backoff policy applied to fault victims.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
     /// Runs an online arrival trace to completion under this engine's
     /// scheduling policy and batch cap. Consumes the engine's
-    /// [`FaultPlan`] (a no-op when empty: bit-identical reports).
+    /// [`FaultPlan`] (a no-op when empty: bit-identical reports); fault
+    /// victims retry under [`RetryPolicy::default`]. A caller that wants
+    /// another retry policy calls [`run_policy_faulted`] itself.
     pub fn serve_online(&self, arrivals: Vec<Request>) -> ScheduleReport {
         run_policy_faulted(
             self,
@@ -547,7 +471,7 @@ impl ServingEngine {
             self.max_batch,
             arrivals,
             &self.fault_plan,
-            &self.retry,
+            &RetryPolicy::default(),
         )
     }
 
@@ -666,12 +590,10 @@ impl ServingEngine {
     /// always were: TP-sharded kernels plus two all-reduces per layer.
     /// Pipeline-parallel deployments split the batch into
     /// [`EngineBuilder::micro_batches`] micro-batches and run them across
-    /// the stages under the deployment's [`PipelineKind`]: the step's
-    /// makespan is `slots_f()` effective slots — `pp + m − 1` under GPipe
-    /// fill/drain, `m + (pp − 1)/m` under the interleaved 1F1B steady
-    /// state — of the bottleneck stage's per-micro time plus one
-    /// inter-stage activation hop per slot. This charges both the
-    /// schedule's bubble (reported diagnostically as
+    /// the stages under a GPipe fill/drain [`PipelineSchedule`]: the
+    /// step's makespan is `pp + m − 1` slots of the bottleneck stage's
+    /// per-micro time plus one inter-stage activation hop per slot. This
+    /// charges both the schedule's bubble (reported diagnostically as
     /// [`StepBreakdown::bubble_ms`]) and the weight re-reads that make PP
     /// a capacity play, not a latency one, in decode.
     pub fn decode_step(&self, batch: u64, context: u64) -> StepBreakdown {
@@ -723,14 +645,7 @@ impl ServingEngine {
         let m = u64::from(sched.micro_batches);
         let bm = batch.div_ceil(m);
         debug_assert!(bm < (1 << 31), "per-micro batch overflows the packed key");
-        // The schedule kind changes the step cost at the same micro-batch
-        // shape, so 1F1B keys must not collide with GPipe ones: tag them in
-        // the (otherwise unreachable) top bit. GPipe keys are unchanged.
-        let tag = match sched.kind {
-            PipelineKind::GPipe => 0,
-            PipelineKind::OneFOneB => 1u64 << 63,
-        };
-        tag | (bm << 32) | m
+        (bm << 32) | m
     }
 
     /// Prices a decode step under the cross-run memo: `key` must be
@@ -778,12 +693,11 @@ impl ServingEngine {
         }
     }
 
-    /// The pipeline schedule for this deployment at a given batch:
-    /// micro-batch count clamped so no micro-batch is empty, under the
-    /// deployment's [`PipelineKind`].
+    /// The GPipe schedule for this deployment at a given batch, its
+    /// micro-batch count clamped so no micro-batch is empty.
     fn pipeline_schedule(&self, batch: u64) -> PipelineSchedule {
         let m = u64::from(self.micro_batches).min(batch.max(1)) as u32;
-        PipelineSchedule::new(self.cluster.pp(), m).with_kind(self.pipeline_kind)
+        PipelineSchedule::new(self.cluster.pp(), m)
     }
 
     /// Prefill latency in ms for the whole batch.
@@ -1216,36 +1130,6 @@ mod tests {
         let clone = engine.clone();
         assert_eq!(clone.policy().name(), engine.policy().name());
         assert_eq!(clone.kv_capacity_tokens(), engine.kv_capacity_tokens());
-    }
-
-    #[test]
-    fn builder_tp_pp_axes_match_explicit_clusters() {
-        let via_axes = ServingEngine::builder()
-            .model(LlmModel::Llama31_70b)
-            .cluster(GpuCluster::single(Gpu::L40s))
-            .tp(4)
-            .pp(2)
-            .build();
-        let via_cluster = ServingEngine::builder()
-            .model(LlmModel::Llama31_70b)
-            .cluster(GpuCluster::pipeline_parallel(Gpu::L40s, 4, 2))
-            .build();
-        assert_eq!(via_axes.cluster(), via_cluster.cluster());
-        assert_eq!(
-            via_axes.kv_capacity_tokens(),
-            via_cluster.kv_capacity_tokens()
-        );
-        assert_eq!(
-            via_axes.decode_step(32, 1024),
-            via_cluster.decode_step(32, 1024)
-        );
-        assert_eq!(via_axes.micro_batches(), 4, "default 2 x pp");
-        let deep = ServingEngine::builder()
-            .model(LlmModel::Llama31_70b)
-            .cluster(GpuCluster::pipeline_parallel(Gpu::L40s, 4, 2))
-            .micro_batches(8)
-            .build();
-        assert_eq!(deep.micro_batches(), 8);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   cache is emptied; capacity is re-planned around the survivors and
 //!   best-effort traffic is shed (SLO-aware brownout) until repair;
 //! * **Link degradation** — tensor/pipeline communication slows by a
-//!   factor for a window (see
-//!   [`allreduce_us_degraded`](crate::parallel::allreduce_us_degraded));
+//!   factor for a window: the step's communication share is multiplied by
+//!   it (transfer time is linear in inverse bandwidth);
 //! * **KV page-out stall** — the engine blocks on a host-memory transfer;
 //! * **Corrupted decode frame** — a compressed weight frame fails its
 //!   checksum (see the `zipserv_entropy` codecs) and is re-fetched from

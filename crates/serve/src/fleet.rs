@@ -13,67 +13,19 @@
 //! replica's report is exactly the one it would produce serving its share
 //! of the trace on its own.
 //!
-//! Three fleet-level behaviours are opt-in (all default off, which makes a
-//! single-replica fleet bit-compatible with the bare `run_policy`
-//! scheduler):
-//!
-//! * **admission control** ([`FleetRouter::shed_when_saturated`]) — when
-//!   every active replica's peak rank pressure is at or above the
-//!   threshold the arrival is shed as [`RejectReason::BrownoutShed`];
-//!   requests too large for every replica's KV capacity are rejected as
-//!   [`RejectReason::Oversized`] before they pollute any replica trace;
-//! * **autoscaling** ([`FleetRouter::autoscale`]) — scale-up spawns a cold
-//!   replica: a fresh scheduler over the first replica's engine (a new
-//!   replica costs O(1)); scale-down marks the highest-index active
-//!   replica as draining: it finishes its assigned work but receives no
-//!   new traffic;
-//! * **1F1B admission** ([`FleetRouter::try_with_replica`]) — replicas
-//!   configured for `PipelineKind::OneFOneB` are refused with
-//!   [`FleetError::ActivationCeiling`] when `pp` in-flight micro-batches
-//!   would overflow the stage activation budget
-//!   (`MemoryPlan::admits_pipeline_kind`).
+//! **Autoscaling** ([`FleetRouter::autoscale`]) is opt-in (default off,
+//! which makes a single-replica fleet bit-compatible with the bare
+//! `run_policy` scheduler): scale-up spawns a cold replica, a fresh
+//! scheduler over the first replica's engine (a new replica costs O(1));
+//! scale-down marks the highest-index active replica as draining: it
+//! finishes its assigned work but receives no new traffic.
 
 use crate::engine::ServingEngine;
-use crate::fault::{FaultKind, RejectReason, Rejection};
+use crate::fault::{FaultKind, RejectReason, Rejection, RetryPolicy};
 use crate::kvcache::PrefixStats;
 use crate::metrics;
-use crate::parallel::PipelineKind;
 use crate::policy::PriorityClass;
 use crate::scheduler::{Completion, Request, ScheduleReport, SchedulerState, UniformStream};
-
-/// Worst-case per-request prompt length (tokens) assumed by the router's
-/// 1F1B activation-ceiling admission check — the paper mix's Batch class.
-pub const FLEET_PROMPT_TOKENS: u64 = 2048;
-
-/// Errors returned by [`FleetRouter::try_with_replica`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FleetError {
-    /// The replica is configured for 1F1B interleaving but keeping `pp`
-    /// micro-batches in flight per stage would overflow the stage
-    /// activation budget (the plan's KV headroom).
-    ActivationCeiling {
-        /// Activation bytes 1F1B must hold resident per stage.
-        ceiling_bytes: u64,
-        /// Activation budget the stage can actually spare.
-        budget_bytes: u64,
-    },
-}
-
-impl core::fmt::Display for FleetError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            FleetError::ActivationCeiling {
-                ceiling_bytes,
-                budget_bytes,
-            } => write!(
-                f,
-                "1F1B activation ceiling {ceiling_bytes} B exceeds stage budget {budget_bytes} B"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for FleetError {}
 
 /// Point-in-time view of one replica, handed to [`RoutePolicy::route`].
 #[derive(Debug, Clone, PartialEq)]
@@ -351,7 +303,7 @@ impl<'a> Replica<'a> {
                 engine.policy(),
                 engine.max_batch(),
                 engine.fault_plan(),
-                engine.retry_policy(),
+                &RetryPolicy::default(),
             ),
             dead: vec![false; engine.cluster().total_ranks()],
             fault_cursor: 0,
@@ -395,13 +347,11 @@ impl<'a> Replica<'a> {
 ///
 /// Build with [`FleetRouter::new`], add replicas with
 /// [`FleetRouter::with_replica`] / [`FleetRouter::with_replicas`], opt
-/// into shedding and autoscaling, then consume the router with
-/// [`FleetRouter::run`].
+/// into autoscaling, then consume the router with [`FleetRouter::run`].
 #[derive(Debug)]
 pub struct FleetRouter {
     engines: Vec<ServingEngine>,
     policy: Box<dyn RoutePolicy>,
-    shed_at: Option<f64>,
     autoscale: Option<Autoscale>,
     next_scale_s: f64,
 }
@@ -417,70 +367,23 @@ impl FleetRouter {
         FleetRouter {
             engines: Vec::new(),
             policy,
-            shed_at: None,
             autoscale: None,
             next_scale_s: 0.0,
         }
     }
 
-    /// Add a replica, refusing configurations the fleet cannot admit.
-    ///
-    /// A replica configured for `PipelineKind::OneFOneB` must fit `pp`
-    /// in-flight micro-batches of activations per stage; the check assumes
-    /// [`FLEET_PROMPT_TOKENS`]-token prompts at the engine's batch cap
-    /// split across its micro-batches.
-    pub fn try_with_replica(mut self, engine: ServingEngine) -> Result<Self, FleetError> {
-        let pp = engine.cluster().pp();
-        if engine.pipeline_kind() == PipelineKind::OneFOneB && pp > 1 {
-            let micro = u64::from(engine.micro_batches().max(1));
-            let tokens_per_micro =
-                (engine.max_batch() as u64 * FLEET_PROMPT_TOKENS).div_ceil(micro);
-            let plan = engine.memory_plan();
-            if !plan.admits_pipeline_kind(
-                engine.model(),
-                PipelineKind::OneFOneB,
-                pp,
-                tokens_per_micro,
-            ) {
-                return Err(FleetError::ActivationCeiling {
-                    ceiling_bytes: crate::memory::MemoryPlan::activation_ceiling_bytes(
-                        engine.model(),
-                        PipelineKind::OneFOneB,
-                        pp,
-                        tokens_per_micro,
-                    ),
-                    budget_bytes: plan.kv_bytes,
-                });
-            }
-        }
+    /// Add a replica.
+    pub fn with_replica(mut self, engine: ServingEngine) -> Self {
         self.engines.push(engine);
-        Ok(self)
+        self
     }
 
-    /// Add a replica; panics if the fleet refuses it (see
-    /// [`FleetRouter::try_with_replica`]).
-    pub fn with_replica(self, engine: ServingEngine) -> Self {
-        match self.try_with_replica(engine) {
-            Ok(router) => router,
-            Err(e) => panic!("fleet refused replica: {e}"),
-        }
-    }
-
-    /// Add `n` identical replicas cloned from `engine` (the pristine-clone
-    /// path: clones share the step memo and KV proto).
+    /// Add `n` identical replicas cloned from `engine`. Clones share the
+    /// engine's step-price memo.
     pub fn with_replicas(mut self, engine: &ServingEngine, n: usize) -> Self {
         for _ in 0..n {
             self = self.with_replica(engine.clone());
         }
-        self
-    }
-
-    /// Enable fleet-level admission control: shed arrivals as
-    /// [`RejectReason::BrownoutShed`] when every active replica's peak
-    /// rank pressure is `>= threshold`, and pre-reject requests larger
-    /// than every replica's KV capacity as [`RejectReason::Oversized`].
-    pub fn shed_when_saturated(mut self, threshold: f64) -> Self {
-        self.shed_at = Some(threshold);
         self
     }
 
@@ -489,11 +392,6 @@ impl FleetRouter {
     pub fn autoscale(mut self, cfg: Autoscale) -> Self {
         self.autoscale = Some(cfg);
         self
-    }
-
-    /// Replicas currently attached.
-    pub fn replica_count(&self) -> usize {
-        self.engines.len()
     }
 
     /// Scale on the mean in-flight depth of the active replicas. A spawned
@@ -549,7 +447,7 @@ impl FleetRouter {
     ///
     /// Arrivals are routed in arrival order (a stable sort). Before each
     /// arrival every replica's scheduler steps to the arrival time, so
-    /// routing, shedding and autoscaling read live state: each replica's
+    /// routing and autoscaling read live state: each replica's
     /// in-flight depth (queued, running, and routed but not yet pulled)
     /// and its own KV books. The arrival is then pushed to the chosen
     /// replica. A replica's report is exactly what it would report serving
@@ -587,25 +485,6 @@ impl FleetRouter {
             for (r, snap) in replicas.iter_mut().zip(&mut snapshots) {
                 r.snapshot_into(snap, now);
             }
-            if let Some(threshold) = self.shed_at {
-                let active = || replicas.iter().zip(&snapshots).filter(|(r, _)| !r.draining);
-                if !active()
-                    .any(|(r, _)| req.prompt_len + req.output_len <= r.engine.kv_capacity_tokens())
-                {
-                    rejections.push(Rejection {
-                        id: req.id,
-                        reason: RejectReason::Oversized,
-                    });
-                    continue;
-                }
-                if !active().any(|(_, snap)| snap.peak_pressure() < threshold) {
-                    rejections.push(Rejection {
-                        id: req.id,
-                        reason: RejectReason::BrownoutShed,
-                    });
-                    continue;
-                }
-            }
             let mut idx = self.policy.route(&req, &snapshots);
             if idx >= replicas.len() || replicas[idx].draining {
                 idx = least_loaded(&snapshots);
@@ -642,7 +521,7 @@ pub struct FleetReport {
     /// One [`ScheduleReport`] per replica, in replica-index order
     /// (including replicas spawned by autoscaling).
     pub per_replica: Vec<ScheduleReport>,
-    /// Arrivals the *router* rejected (shed / oversized / no capacity);
+    /// Arrivals the *router* rejected (no replica to route to);
     /// per-replica rejections live in each [`ScheduleReport`].
     pub rejections: Vec<Rejection>,
     /// Scaling actions in trace order.
@@ -863,76 +742,6 @@ mod tests {
             let idx = p2c.route(&req, &snaps);
             assert_ne!(idx, 0, "picked the saturated replica");
         }
-    }
-
-    #[test]
-    fn activation_ceiling_refuses_one_f_one_b_replica() {
-        let engine = ServingEngine::builder()
-            .kind(EngineKind::ZipServ)
-            .model(LlmModel::Llama31_8b)
-            .cluster(GpuCluster::pipeline_parallel(Gpu::Rtx4090, 1, 8))
-            .policy(Priority::default())
-            .micro_batches(1)
-            .pipeline_kind(PipelineKind::OneFOneB)
-            .max_batch(256)
-            .build();
-        let err = FleetRouter::new(RoundRobin::default())
-            .try_with_replica(engine)
-            .map(|_| ())
-            .unwrap_err();
-        assert!(matches!(err, FleetError::ActivationCeiling { .. }));
-
-        // The same deployment under GPipe holds one micro-batch in flight
-        // and is admitted.
-        let gpipe = ServingEngine::builder()
-            .kind(EngineKind::ZipServ)
-            .model(LlmModel::Llama31_8b)
-            .cluster(GpuCluster::pipeline_parallel(Gpu::Rtx4090, 1, 8))
-            .policy(Priority::default())
-            .micro_batches(1)
-            .max_batch(256)
-            .build();
-        let fleet = FleetRouter::new(RoundRobin::default()).with_replica(gpipe);
-        assert_eq!(fleet.replica_count(), 1);
-    }
-
-    #[test]
-    fn shed_rejects_only_when_enabled_and_saturated() {
-        let engine = test_engine();
-        let arrivals = ArrivalMix::paper_mix().generate(30.0, 60, 11);
-
-        // Threshold 0.0: no replica reads below it, so every arrival sheds.
-        let shed = FleetRouter::new(RoundRobin::default())
-            .with_replicas(&engine, 2)
-            .shed_when_saturated(0.0)
-            .run(arrivals.clone());
-        assert!(
-            shed.rejections
-                .iter()
-                .all(|r| r.reason == RejectReason::BrownoutShed),
-            "all router rejections typed as brownout shed"
-        );
-        assert!(!shed.rejections.is_empty());
-
-        // No admission control: the router itself never rejects.
-        let open = FleetRouter::new(RoundRobin::default())
-            .with_replicas(&engine, 2)
-            .run(arrivals);
-        assert!(open.rejections.is_empty());
-    }
-
-    #[test]
-    fn oversized_requests_rejected_at_the_router() {
-        let engine = test_engine();
-        let cap = engine.kv_capacity_tokens();
-        let arrivals = vec![Request::new(0, 0.0, cap + 1, 1)];
-        let report = FleetRouter::new(RoundRobin::default())
-            .with_replicas(&engine, 2)
-            .shed_when_saturated(0.99)
-            .run(arrivals);
-        assert_eq!(report.rejections.len(), 1);
-        assert_eq!(report.rejections[0].reason, RejectReason::Oversized);
-        assert_eq!(report.completed(), 0);
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //! * [`scheduler`] — online continuous batching over Poisson arrivals with
 //!   KV-capacity admission control and latency percentiles;
 //! * [`fleet`] — multi-replica serving: a [`fleet::FleetRouter`] drives a
-//!   shared arrival stream across N replica engines with pluggable
-//!   routing policies (round-robin, least-KV-pressure, session affinity,
-//!   power-of-two-choices), fleet-level admission control, and
-//!   queue-depth autoscaling;
+//!   shared arrival stream across N replica engines on one clock, with
+//!   pluggable routing policies (round-robin, least-KV-pressure, session
+//!   affinity, power-of-two-choices) reading each replica's live state,
+//!   and queue-depth autoscaling;
 //! * [`fault`] — deterministic fault injection ([`fault::FaultPlan`]) and
 //!   bounded retry-with-backoff recovery: rank failure/repair, link
 //!   degradation, KV stalls, and corrupted-frame events consumed mid-run;

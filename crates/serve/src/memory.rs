@@ -7,7 +7,6 @@
 //! KV cache to ~8.6 GB.
 
 use crate::cluster::GpuCluster;
-use crate::parallel::{stage_activation_bytes, PipelineKind};
 use zipserv_kernels::shapes::{LayerKind, LlmModel};
 
 /// Fixed runtime overhead per GPU (CUDA context, activations, workspace).
@@ -180,50 +179,6 @@ impl MemoryPlan {
         let per_token = model.dims().kv_bytes_per_token() / tp as u64;
         self.kv_bytes / per_token.max(1)
     }
-
-    /// In-flight micro-batches of activations a stage must hold live under
-    /// `kind`. GPipe's fill/drain retires each micro-batch's activations
-    /// as the next stage consumes them, so one set is resident at a time;
-    /// 1F1B's defining memory cost is that each stage keeps up to `pp`
-    /// micro-batches interleaved (stage 0 has admitted `pp` forwards
-    /// before its first backward-position slot frees one).
-    pub fn in_flight_micro_batches(kind: PipelineKind, pp: u32) -> u32 {
-        match kind {
-            PipelineKind::GPipe => 1,
-            PipelineKind::OneFOneB => pp.max(1),
-        }
-    }
-
-    /// The activation-memory ceiling of one pipeline stage: in-flight
-    /// micro-batches × the per-micro activation working set
-    /// ([`stage_activation_bytes`]) at `tokens_per_micro` tokens. Under
-    /// 1F1B this grows linearly with `pp`, which is what makes
-    /// interleaving refusable on memory-starved replicas.
-    pub fn activation_ceiling_bytes(
-        model: LlmModel,
-        kind: PipelineKind,
-        pp: u32,
-        tokens_per_micro: u64,
-    ) -> u64 {
-        u64::from(Self::in_flight_micro_batches(kind, pp))
-            * stage_activation_bytes(model.dims().hidden, tokens_per_micro)
-    }
-
-    /// Whether this plan's flexible region (the KV headroom — weights and
-    /// the fixed runtime overhead are immovable) survives the schedule's
-    /// activation ceiling with KV capacity to spare. The fleet router
-    /// consults this before placing [`PipelineKind::OneFOneB`] on a
-    /// replica: a stage whose 1F1B ceiling eats the whole KV region
-    /// cannot serve, so the router demotes it to GPipe instead.
-    pub fn admits_pipeline_kind(
-        &self,
-        model: LlmModel,
-        kind: PipelineKind,
-        pp: u32,
-        tokens_per_micro: u64,
-    ) -> bool {
-        Self::activation_ceiling_bytes(model, kind, pp, tokens_per_micro) < self.kv_bytes
-    }
 }
 
 #[cfg(test)]
@@ -351,48 +306,6 @@ mod tests {
         let min = stages.iter().map(|s| s.weight_bytes).min().expect("stages");
         assert_eq!(stages[0].weight_bytes, max);
         assert_eq!(stages[1].weight_bytes, min);
-    }
-
-    #[test]
-    fn one_f_one_b_activation_ceiling_scales_with_pp() {
-        // GPipe holds one micro-batch of activations per stage; 1F1B holds
-        // pp of them — the exact ratio, straight from the closed form.
-        let model = LlmModel::Llama31_8b;
-        for pp in [2u32, 4, 8] {
-            let gpipe =
-                MemoryPlan::activation_ceiling_bytes(model, PipelineKind::GPipe, pp, 65_536);
-            let one_f =
-                MemoryPlan::activation_ceiling_bytes(model, PipelineKind::OneFOneB, pp, 65_536);
-            assert_eq!(one_f, u64::from(pp) * gpipe);
-            assert_eq!(gpipe, 2 * model.dims().hidden * 65_536);
-        }
-    }
-
-    #[test]
-    fn memory_starved_stage_refuses_interleaving_but_not_gpipe() {
-        // A replica whose stage has little KV headroom: GPipe's single
-        // in-flight micro-batch fits, 1F1B's pp-deep ceiling does not —
-        // the predicate the fleet router uses to demote OneFOneB.
-        let model = LlmModel::Llama31_8b;
-        let pp = 8u32;
-        let tokens = 65_536; // batch 32 × 2048-token prompts per micro
-        let gpipe_need =
-            MemoryPlan::activation_ceiling_bytes(model, PipelineKind::GPipe, pp, tokens);
-        let starved = MemoryPlan {
-            weight_bytes: 10_000_000_000,
-            kv_bytes: 2 * gpipe_need, // fits 2 micro-batches, not pp = 8
-            runtime_bytes: RUNTIME_OVERHEAD_BYTES,
-            capacity_bytes: 16_000_000_000,
-        };
-        assert!(starved.admits_pipeline_kind(model, PipelineKind::GPipe, pp, tokens));
-        assert!(!starved.admits_pipeline_kind(model, PipelineKind::OneFOneB, pp, tokens));
-        // A real single-stage plan has gigabytes of KV headroom: both
-        // schedules clear the ceiling at decode-sized micro-batches.
-        let cluster = GpuCluster::single(Gpu::Rtx4090);
-        let plan = MemoryPlan::plan(model, &cluster, WeightFormat::Dense);
-        for kind in [PipelineKind::GPipe, PipelineKind::OneFOneB] {
-            assert!(plan.admits_pipeline_kind(model, kind, 2, 32 * 1024));
-        }
     }
 
     #[test]

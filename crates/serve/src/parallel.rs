@@ -73,21 +73,6 @@ pub fn stage_activation_bytes(hidden: u64, tokens: u64) -> u64 {
     2 * hidden * tokens
 }
 
-/// [`allreduce_us`] under a degraded intra-stage link: transfer time is
-/// linear in inverse bandwidth, so a link running at `1/link_factor` of
-/// its healthy rate multiplies the collective by `link_factor` (clamped to
-/// at least 1 — faults never speed links up). This is the communication
-/// model behind [`FaultKind::LinkDegrade`](crate::fault::FaultKind).
-pub fn allreduce_us_degraded(cluster: &GpuCluster, bytes: u64, link_factor: f64) -> f64 {
-    allreduce_us(cluster, bytes) * link_factor.max(1.0)
-}
-
-/// [`p2p_us`] under a degraded inter-stage link (same scaling model as
-/// [`allreduce_us_degraded`]).
-pub fn p2p_us_degraded(cluster: &GpuCluster, bytes: u64, link_factor: f64) -> f64 {
-    p2p_us(cluster, bytes) * link_factor.max(1.0)
-}
-
 /// Which pipeline execution schedule a deployment runs.
 ///
 /// The schedule decides how much idle time (*bubble*) each step pays on
@@ -303,18 +288,6 @@ mod tests {
         assert!(p2p_us(&c, 4 << 20) > 2.0 * one);
         // batch 32 × hidden 4096 × 2 bytes.
         assert_eq!(stage_activation_bytes(4096, 32), 262_144);
-    }
-
-    #[test]
-    fn degraded_links_scale_and_never_speed_up() {
-        let c = GpuCluster::pipeline_parallel(Gpu::L40s, 4, 2);
-        let ar = allreduce_us(&c, 1 << 20);
-        let hop = p2p_us(&c, 1 << 20);
-        assert_eq!(allreduce_us_degraded(&c, 1 << 20, 3.0), 3.0 * ar);
-        assert_eq!(p2p_us_degraded(&c, 1 << 20, 3.0), 3.0 * hop);
-        // Healthy factor (or a bogus sub-1 factor) is the identity.
-        assert_eq!(allreduce_us_degraded(&c, 1 << 20, 1.0), ar);
-        assert_eq!(p2p_us_degraded(&c, 1 << 20, 0.25), hop);
     }
 
     #[test]

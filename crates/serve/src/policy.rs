@@ -188,6 +188,10 @@ pub struct RunningRequest {
     /// distinguish mid-prefill residents ([`RunningRequest::is_prefilling`])
     /// from decode-ready ones when picking victims.
     pub prefill_chunks_left: u32,
+    /// Cost of one of those chunks in seconds, set at admission: the
+    /// fresh prefill's whole cost (degraded-compute slowdown included)
+    /// over the chunk count. 0 under whole-prefill admission.
+    pub prefill_chunk_s: f64,
 }
 
 impl RunningRequest {
@@ -668,6 +672,7 @@ mod tests {
             first_token_s: None,
             retries: 0,
             prefill_chunks_left: 0,
+            prefill_chunk_s: 0.0,
         }];
         // Equal remaining output: no preemption.
         assert_eq!(sjf.victim(&cand, &running, 1.0), None);

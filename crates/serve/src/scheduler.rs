@@ -20,7 +20,7 @@ use crate::engine::ServingEngine;
 use crate::fault::{
     FaultEvent, FaultKind, FaultPlan, FaultState, RejectReason, Rejection, RetryPolicy,
 };
-use crate::kvcache::{pages_for, KvShards, PrefixRegistry, PrefixStats, PAGE_TOKENS};
+use crate::kvcache::{pages_for, PrefixRegistry, PrefixStats, PAGE_TOKENS};
 use crate::metrics::{percentile, ClassStats, RobustnessStats};
 use crate::policy::{
     PreemptionMode, PriorityClass, QueuedRequest, RunningRequest, SchedulePolicy, Slo,
@@ -426,19 +426,6 @@ pub fn run_policy(
     )
 }
 
-/// What chunked prefill tracks while the scheduler loop runs (`None` when
-/// prefill is charged whole at admission).
-#[derive(Debug)]
-struct StreamBooks {
-    /// Per-resident cost of one prefill chunk, in seconds (whole prefill
-    /// cost at admission time — including any degraded-compute slowdown —
-    /// divided by `n_chunks`). Entries live as long as the request is
-    /// resident.
-    chunk_cost: HashMap<u64, f64>,
-    /// Chunks a fresh prefill is split into: one per pipeline stage.
-    n_chunks: u32,
-}
-
 /// Everything the fault machinery mutates while the scheduler loop runs —
 /// threaded as one bundle so the event applicator and the admission loop
 /// see the same books.
@@ -526,22 +513,26 @@ pub struct SchedulerState<'a> {
     policy: &'a dyn SchedulePolicy,
     max_batch: usize,
     events: &'a [FaultEvent],
-    retry: &'a RetryPolicy,
+    retry: RetryPolicy,
     /// The deployment's KV capacity in tokens.
     capacity: u64,
-    /// Each rank's KV page budget, for [`SchedulerState::kv_pressure`].
-    shards: KvShards,
+    /// Each rank's KV admission budget in pages, for
+    /// [`SchedulerState::kv_pressure`]: its page budget scaled by the
+    /// capacity over the bottleneck rank's raw capacity. That is the page
+    /// budget itself on paged engines; non-paged ones admit only to their
+    /// fragmentation-reduced capacity.
+    rank_budgets: Vec<u64>,
     /// KV pages the residents reserve, each for its whole lifetime
     /// (`prompt + output`), the same count on every rank: admission keeps
     /// it within the capacity in pages.
     reserved_pages: u64,
     next_event: usize,
     books: FaultBooks,
-    /// Chunked-prefill mode (default at pp ≥ 2, or forced via
-    /// `EngineBuilder::chunked_prefill`): fresh prefills stream through
-    /// the pipeline in per-stage chunks between decode steps. `None`
-    /// charges each prefill whole at admission.
-    stream: Option<StreamBooks>,
+    /// Chunks a fresh prefill is split into under chunked prefill (default
+    /// at pp ≥ 2, or forced via `EngineBuilder::chunked_prefill`): one per
+    /// pipeline stage, streamed between decode steps. 0 charges each
+    /// prefill whole at admission.
+    prefill_chunks: u32,
     /// Prefix caching (opt-in via `EngineBuilder::prefix_caching`): the
     /// registry interns shared-prefix hashes on its own page budget and
     /// forks them copy-on-write on hit, so admission charges prefill for
@@ -589,24 +580,29 @@ impl<'a> SchedulerState<'a> {
         policy: &'a dyn SchedulePolicy,
         max_batch: usize,
         plan: &'a FaultPlan,
-        retry: &'a RetryPolicy,
+        retry: &RetryPolicy,
     ) -> Self {
-        let stream = engine.chunked_prefill().then(|| StreamBooks {
-            chunk_cost: HashMap::new(),
-            n_chunks: engine.cluster().pp().max(1),
-        });
         let shards = engine.kv_shards();
+        let capacity = engine.kv_capacity_tokens();
+        let raw = shards.capacity_tokens();
+        let rank_budgets = (0..shards.ranks())
+            .map(|r| {
+                (shards.rank_pages(r) * capacity)
+                    .checked_div(raw)
+                    .unwrap_or(0)
+            })
+            .collect();
         let registry = engine
             .prefix_caching()
-            .then(|| PrefixRegistry::new(shards.clone(), policy.prefix_victim()));
+            .then(|| PrefixRegistry::new(shards, policy.prefix_victim()));
         SchedulerState {
             engine,
             policy,
             max_batch,
             events: plan.events(),
-            retry,
-            capacity: engine.kv_capacity_tokens(),
-            shards,
+            retry: *retry,
+            capacity,
+            rank_budgets,
             reserved_pages: 0,
             next_event: 0,
             books: FaultBooks {
@@ -615,7 +611,11 @@ impl<'a> SchedulerState<'a> {
                 victims_outstanding: HashSet::new(),
                 recover_started: None,
             },
-            stream,
+            prefill_chunks: if engine.chunked_prefill() {
+                engine.cluster().pp().max(1)
+            } else {
+                0
+            },
             registry,
             arrivals: VecDeque::new(),
             #[cfg(debug_assertions)]
@@ -732,7 +732,8 @@ impl<'a> SchedulerState<'a> {
 
     /// Live KV occupancy of `rank` in `[0, 1]`, read off the books
     /// admission keeps: the pages the residents reserve over the rank's
-    /// page budget (every rank holds a slice of every resident). A dead or
+    /// admission budget (every rank holds a slice of every resident), so a
+    /// full replica reads about 1 whatever its engine. A dead or
     /// zero-budget rank reads `1.0`: it admits nothing, so a router
     /// reading pressure steers away from it.
     ///
@@ -740,11 +741,11 @@ impl<'a> SchedulerState<'a> {
     ///
     /// Panics if `rank` is out of range.
     pub fn kv_pressure(&self, rank: usize) -> f64 {
-        let pages = self.shards.rank_pages(rank);
-        if pages == 0 || self.books.state.dead.contains(&rank) {
+        let budget = self.rank_budgets[rank];
+        if budget == 0 || self.books.state.dead.contains(&rank) {
             1.0
         } else {
-            self.reserved_pages as f64 / pages as f64
+            self.reserved_pages as f64 / budget as f64
         }
     }
 
@@ -876,7 +877,7 @@ impl<'a> SchedulerState<'a> {
         // chunked prefill is meant to cut. Held admissions stay in
         // `pending`, where the policy keeps reordering them as chunks
         // drain.
-        if self.stream.is_some()
+        if self.prefill_chunks > 0
             && self.running.iter().filter(|f| f.is_prefilling()).count()
                 >= self.engine.micro_batches().max(1) as usize
         {
@@ -960,9 +961,6 @@ impl<'a> SchedulerState<'a> {
             }
             let victim = self.running.remove(vi);
             self.reserved_pages -= lifetime_pages(&victim.req);
-            if let Some(s) = self.stream.as_mut() {
-                s.chunk_cost.remove(&victim.req.id);
-            }
             self.preemptions += 1;
             // Page-out preemption pays the host-bound PCIe transfer at
             // eviction time — the victim's pages must land in host memory
@@ -1083,14 +1081,12 @@ impl<'a> SchedulerState<'a> {
         // ride the pipeline's micro-batch slots between decode steps.
         // Resumes (page-in, recompute) stay serial — they rebuild KV, they
         // don't stream the prompt through the stages.
-        let mut chunks_left = 0u32;
-        match self.stream.as_mut() {
-            Some(s) if q.resume_generated == 0 => {
-                chunks_left = s.n_chunks;
-                s.chunk_cost.insert(q.req.id, cost / f64::from(s.n_chunks));
-            }
-            _ => self.now += cost,
-        }
+        let (chunks_left, chunk_s) = if self.prefill_chunks > 0 && q.resume_generated == 0 {
+            (self.prefill_chunks, cost / f64::from(self.prefill_chunks))
+        } else {
+            self.now += cost;
+            (0, 0.0)
+        };
         self.running.push(RunningRequest {
             req: q.req,
             admitted_s: self.now,
@@ -1100,6 +1096,7 @@ impl<'a> SchedulerState<'a> {
             first_token_s: q.first_token_s,
             retries: q.retries,
             prefill_chunks_left: chunks_left,
+            prefill_chunk_s: chunk_s,
         });
     }
 
@@ -1160,7 +1157,7 @@ impl<'a> SchedulerState<'a> {
         // granularity is the TTFT win — an interactive prompt's chunks
         // overtake a long batch prompt mid-prefill instead of queueing
         // behind its whole prefill.
-        if let Some(s) = self.stream.as_ref() {
+        if self.prefill_chunks > 0 {
             for _ in 0..self.engine.micro_batches().max(1) {
                 let Some(next) = self
                     .running
@@ -1183,10 +1180,7 @@ impl<'a> SchedulerState<'a> {
                     break;
                 };
                 next.prefill_chunks_left -= 1;
-                self.now += *s
-                    .chunk_cost
-                    .get(&next.req.id)
-                    .expect("streaming resident has a chunk cost");
+                self.now += next.prefill_chunk_s;
             }
         }
 
@@ -1227,8 +1221,7 @@ impl<'a> SchedulerState<'a> {
             self.comm_s += comm_ms / 1e3;
         } else {
             // Survivors absorb the dead ranks' compute; the communication
-            // share stretches by the degraded-link factor (same model as
-            // `parallel::allreduce_us_degraded`).
+            // share stretches by the degraded-link factor.
             let state = &self.books.state;
             let slow = if state.dead.is_empty() {
                 1.0
@@ -1250,8 +1243,7 @@ impl<'a> SchedulerState<'a> {
                 f.first_token_s = Some(now);
             }
         }
-        let (stream, registry, completions, reserved) = (
-            &mut self.stream,
+        let (registry, completions, reserved) = (
             &mut self.registry,
             &mut self.completions,
             &mut self.reserved_pages,
@@ -1259,9 +1251,6 @@ impl<'a> SchedulerState<'a> {
         self.running.retain(|f| {
             if !f.is_prefilling() && f.generated >= f.req.output_len {
                 *reserved -= lifetime_pages(&f.req);
-                if let Some(s) = stream.as_mut() {
-                    s.chunk_cost.remove(&f.req.id);
-                }
                 if let Some(reg) = registry.as_mut() {
                     reg.release(f.req.id);
                 }
@@ -1416,9 +1405,6 @@ impl<'a> SchedulerState<'a> {
         }
         self.reserved_pages = 0;
         for victim in std::mem::take(&mut self.running) {
-            if let Some(s) = self.stream.as_mut() {
-                s.chunk_cost.remove(&victim.req.id);
-            }
             let retries = victim.retries + 1;
             if retries > self.retry.max_retries {
                 self.reject(victim.req.id, RejectReason::RetriesExhausted);
@@ -1968,6 +1954,31 @@ mod tests {
     }
 
     #[test]
+    fn pressure_reads_the_admission_budget_on_every_engine() {
+        // 64 requests of 2048 + 2048 tokens (256 pages each) arrive at once
+        // on the default RTX 4090 deployment and fill the batch. Non-paged
+        // engines admit only to 0.6 of their raw pages, so their pressure
+        // is read over that budget: a full replica reads about 1 on every
+        // engine.
+        for (kind, residents, budget) in [
+            (EngineKind::Transformers, 6, 1662),
+            (EngineKind::DFloat11, 10, 2739),
+            (EngineKind::ZipServ, 17, 4451),
+        ] {
+            let engine = ServingEngine::builder().kind(kind).build();
+            let (plan, retry) = (FaultPlan::default(), RetryPolicy::default());
+            let mut state = SchedulerState::new(&engine, &Fcfs, 64, &plan, &retry);
+            for id in 0..64 {
+                state.push(Request::new(id, 0.0, 2048, 2048));
+            }
+            state.step_until(20.0);
+            assert_eq!(state.running.len(), residents, "{kind}");
+            let expected = (residents as u64 * 256) as f64 / budget as f64;
+            assert_eq!(state.kv_pressure(0), expected, "{kind}");
+        }
+    }
+
+    #[test]
     fn repaired_rank_reads_the_residents_pages_like_its_peers() {
         // Eight long requests arrive while rank 1 is down and are still
         // decoding after its repair: every rank, the repaired one too,
@@ -1991,7 +2002,7 @@ mod tests {
             assert!(p0 > 0.0, "residents hold pages at {t} s");
             assert_eq!(p1, p0, "repaired rank at {t} s");
             let held = state.running.len() as u64 * pages_for(2048 + 4096);
-            assert_eq!(p0, held as f64 / state.shards.rank_pages(0) as f64);
+            assert_eq!(p0, held as f64 / engine.kv_shards().rank_pages(0) as f64);
         }
         assert_eq!(state.finish().completions.len(), 8);
     }

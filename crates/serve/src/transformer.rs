@@ -65,14 +65,6 @@ impl Linear {
         }
     }
 
-    /// Output dimension.
-    pub fn out_dim(&self) -> usize {
-        match self {
-            Linear::Dense(w) => w.rows(),
-            Linear::Compressed(w) => w.rows(),
-        }
-    }
-
     /// Compresses a dense layer in place.
     ///
     /// # Errors

@@ -60,9 +60,9 @@ fn main() {
         zip.throughput_tps / vllm.throughput_tps
     );
 
-    // The other two §6.5 deployments are tensor-parallel; the builder's
-    // `tp`/`pp` axes shard weights and KV per rank and charge the ring
-    // all-reduce (plus pipeline hops, if any) in every step.
+    // The other two §6.5 deployments are tensor-parallel; a `tp × pp` grid
+    // shards weights and KV per rank and charges the ring all-reduce (plus
+    // pipeline hops, if any) in every step.
     println!("\nmulti-GPU deployments (ZipServ, batch 32 @ seq 1024):");
     let deployments = [
         (LlmModel::Mistral24b, 2u32, 1u32),
@@ -73,9 +73,7 @@ fn main() {
         let engine = ServingEngine::builder()
             .kind(EngineKind::ZipServ)
             .model(model)
-            .cluster(GpuCluster::single(Gpu::L40s))
-            .tp(tp)
-            .pp(pp)
+            .cluster(GpuCluster::pipeline_parallel(Gpu::L40s, tp, pp))
             .build();
         let step = engine.decode_step(32, 1024);
         println!(

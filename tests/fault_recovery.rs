@@ -461,27 +461,29 @@ fn stalls_and_corrupt_frames_charge_time() {
 }
 
 /// The engine builder carries the plan: `serve_online` on an engine with
-/// an attached plan and retry policy equals the explicit
-/// `run_policy_faulted` call with the same arguments.
+/// an attached plan equals the explicit `run_policy_faulted` call with the
+/// same arguments and the default retry policy.
 #[test]
 fn builder_attached_plan_reaches_serve_online() {
     let plan = FaultPlan::new().rank_fail(0.5, 0).rank_repair(1.5, 0);
-    let retry = RetryPolicy {
-        max_retries: 5,
-        ..RetryPolicy::default()
-    };
     let engine = builder(EngineKind::ZipServ)
         .policy(SloEdf::default())
         .max_batch(48)
         .fault_plan(plan.clone())
-        .retry_policy(retry)
         .build();
     assert_eq!(engine.fault_plan(), &plan);
-    assert_eq!(engine.retry_policy(), &retry);
     let arrivals = ArrivalMix::paper_mix().generate(10.0, 50, 29);
     let via_engine = engine.serve_online(arrivals.clone());
-    let direct = run_policy_faulted(&engine, engine.policy(), 48, arrivals, &plan, &retry);
+    let direct = run_policy_faulted(
+        &engine,
+        engine.policy(),
+        48,
+        arrivals,
+        &plan,
+        &RetryPolicy::default(),
+    );
     assert_eq!(via_engine, direct);
+    assert!(via_engine.robustness.rank_failures > 0, "the plan ran");
 }
 
 /// Goodput under faults: rejected victims' tokens are excluded, so

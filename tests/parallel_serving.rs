@@ -15,6 +15,11 @@ fn builder(kind: EngineKind) -> EngineBuilder {
         .cluster(GpuCluster::single(Gpu::Rtx4090))
 }
 
+/// The same deployment split into two pipeline stages of one RTX 4090.
+fn two_stages(kind: EngineKind) -> EngineBuilder {
+    builder(kind).cluster(GpuCluster::pipeline_parallel(Gpu::Rtx4090, 1, 2))
+}
+
 fn all_policies() -> Vec<Box<dyn SchedulePolicy>> {
     vec![
         Box::new(Fcfs),
@@ -27,16 +32,19 @@ fn all_policies() -> Vec<Box<dyn SchedulePolicy>> {
     ]
 }
 
-/// The acceptance pin: setting the new `tp`/`pp` axes to 1 is a perfect
-/// no-op — every shipped policy produces a bit-identical `ScheduleReport`
-/// to an engine that never heard of the axes, on both an easy trace and a
-/// preemption-heavy one.
+/// The acceptance pin: a 1 × 1 `tp × pp` grid is the single-GPU
+/// deployment, bit for bit — every shipped policy produces a bit-identical
+/// `ScheduleReport` to the plain single-GPU engine, on both an easy trace
+/// and a preemption-heavy one.
 #[test]
 fn tp1_pp1_axes_are_bit_identical_for_every_policy() {
     let mix = ArrivalMix::paper_mix().generate(12.0, 100, 37);
     for kind in [EngineKind::ZipServ, EngineKind::Vllm] {
         let implicit = builder(kind).build();
-        let explicit = builder(kind).tp(1).pp(1).micro_batches(1).build();
+        let explicit = builder(kind)
+            .cluster(GpuCluster::pipeline_parallel(Gpu::Rtx4090, 1, 1))
+            .micro_batches(1)
+            .build();
         assert_eq!(implicit.kv_capacity_tokens(), explicit.kv_capacity_tokens());
         for policy in all_policies() {
             let a = run_policy(&implicit, policy.as_ref(), 64, mix.clone());
@@ -92,7 +100,7 @@ fn paper_deployments_charge_allreduce_in_scheduler_steps() {
 #[test]
 fn pipeline_stages_speed_prefill_and_charge_decode_bubble() {
     let pp1 = builder(EngineKind::ZipServ).build();
-    let pp2 = builder(EngineKind::ZipServ).pp(2).build();
+    let pp2 = two_stages(EngineKind::ZipServ).build();
     assert_eq!(pp2.cluster().pp(), 2);
     assert_eq!(pp2.micro_batches(), 4, "default 2 × pp");
 
@@ -116,14 +124,15 @@ fn pipeline_stages_speed_prefill_and_charge_decode_bubble() {
 
     // More micro-batches shrink the bubble — monotone for dense engines
     // (no fixed per-pass cost to re-pay)...
-    let dense4 = builder(EngineKind::Vllm).pp(2).build();
-    let dense16 = builder(EngineKind::Vllm).pp(2).micro_batches(16).build();
+    let dense4 = two_stages(EngineKind::Vllm).build();
+    let dense16 = two_stages(EngineKind::Vllm).micro_batches(16).build();
     assert!(dense16.prefill_ms(8, 1024) < dense4.prefill_ms(8, 1024));
     // ...but compressed engines re-expand each stage's weights once per
     // micro-batch (the scratch buffer is recycled between sweeps), so
     // micro-batching ZipServ prefill 4× deeper buys less than it does
     // for vLLM.
-    let deep = builder(EngineKind::ZipServ).pp(2).micro_batches(16).build();
+    let deep = two_stages(EngineKind::ZipServ).micro_batches(16).build();
+    assert_eq!(deep.micro_batches(), 16);
     let zip_gain = pipelined / deep.prefill_ms(8, 1024);
     let dense_gain = dense4.prefill_ms(8, 1024) / dense16.prefill_ms(8, 1024);
     assert!(
