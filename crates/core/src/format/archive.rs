@@ -1,11 +1,9 @@
-//! Multi-tensor model archives and incremental snapshots — §7's
-//! "efficient model checkpointing" direction (cf. LMC and ZipNN, which
-//! compress checkpoints for storage only).
+//! Multi-tensor model archives — §7's "efficient model checkpointing"
+//! direction (cf. LMC and ZipNN, which compress checkpoints for storage
+//! only).
 //!
 //! A [`ModelArchive`] is a named collection of compressed tensors with a
-//! manifest; [`SnapshotDelta`] stores only the FragTiles that changed
-//! between two checkpoints of the same model — fine-tuning steps touch
-//! weights sparsely, so deltas are far smaller than full archives.
+//! manifest.
 
 use super::layout::TbeMatrix;
 use super::serialize;
@@ -82,7 +80,8 @@ impl ModelArchive {
     /// # Errors
     ///
     /// Returns [`TbeError::Corrupt`] on malformed input (bad magic,
-    /// truncation, invalid UTF-8 names, or any corrupt tensor blob).
+    /// truncation, invalid UTF-8 names, a name given twice, or any corrupt
+    /// tensor blob).
     pub fn from_bytes(mut bytes: &[u8]) -> Result<Self, TbeError> {
         const E: TbeError = TbeError::Corrupt("truncated archive");
         let mut take = |n: usize| -> Result<&[u8], TbeError> {
@@ -105,72 +104,11 @@ impl ModelArchive {
                 .to_string();
             let blob_len = u64::from_le_bytes(take(8)?.try_into().expect("8")) as usize;
             let tensor = serialize::from_bytes(take(blob_len)?)?;
-            tensors.insert(name, tensor);
-        }
-        Ok(ModelArchive { tensors })
-    }
-}
-
-/// The FragTiles of one tensor that changed between two checkpoints.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TensorDelta {
-    /// Tensor name.
-    pub name: String,
-    /// Full replacement payload (used when too much changed to bother with
-    /// tile granularity, or shapes differ).
-    pub replacement: TbeMatrix,
-}
-
-/// An incremental snapshot: the tensors that changed since the base.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SnapshotDelta {
-    changed: Vec<TensorDelta>,
-    removed: Vec<String>,
-}
-
-impl SnapshotDelta {
-    /// Computes the delta turning `base` into `next`.
-    pub fn diff(base: &ModelArchive, next: &ModelArchive) -> SnapshotDelta {
-        let mut changed = Vec::new();
-        for (name, tensor) in next.iter() {
-            if base.get(name) != Some(tensor) {
-                changed.push(TensorDelta {
-                    name: name.to_string(),
-                    replacement: tensor.clone(),
-                });
+            if tensors.insert(name, tensor).is_some() {
+                return Err(TbeError::Corrupt("duplicate tensor name"));
             }
         }
-        let removed = base
-            .iter()
-            .filter(|(name, _)| next.get(name).is_none())
-            .map(|(name, _)| name.to_string())
-            .collect();
-        SnapshotDelta { changed, removed }
-    }
-
-    /// Number of changed tensors.
-    pub fn changed_count(&self) -> usize {
-        self.changed.len()
-    }
-
-    /// Bytes this delta would occupy (changed payloads only).
-    pub fn delta_bytes(&self) -> usize {
-        self.changed
-            .iter()
-            .map(|d| d.replacement.stats().compressed_bytes())
-            .sum()
-    }
-
-    /// Applies the delta to a base archive, producing the next checkpoint.
-    pub fn apply(&self, base: &ModelArchive) -> ModelArchive {
-        let mut out = base.clone();
-        for name in &self.removed {
-            out.tensors.remove(name);
-        }
-        for d in &self.changed {
-            out.insert(d.name.clone(), d.replacement.clone());
-        }
-        out
+        Ok(ModelArchive { tensors })
     }
 }
 
@@ -221,57 +159,22 @@ mod tests {
     }
 
     #[test]
-    fn delta_captures_only_changes() {
-        let mut base = ModelArchive::new();
-        base.insert("a", tensor(1));
-        base.insert("b", tensor(2));
-        base.insert("c", tensor(3));
-
-        let mut next = base.clone();
-        next.insert("b", tensor(20)); // changed
-        next.tensors.remove("c"); // removed
-        next.insert("d", tensor(4)); // added
-
-        let delta = SnapshotDelta::diff(&base, &next);
-        assert_eq!(delta.changed_count(), 2, "b changed + d added");
-        assert!(delta.delta_bytes() < base.compressed_bytes());
-        assert_eq!(delta.apply(&base), next);
-    }
-
-    #[test]
-    fn identical_checkpoints_have_empty_delta() {
-        let mut a = ModelArchive::new();
-        a.insert("w", tensor(9));
-        let delta = SnapshotDelta::diff(&a, &a);
-        assert_eq!(delta.changed_count(), 0);
-        assert_eq!(delta.delta_bytes(), 0);
-        assert_eq!(delta.apply(&a), a);
-    }
-
-    #[test]
-    fn fine_tune_style_sparse_update_is_cheap() {
-        // 8 tensors, fine-tune touches 1: delta is ~1/8 of the archive.
-        let mut base = ModelArchive::new();
-        for i in 0..8u64 {
-            base.insert(format!("layer.{i}"), tensor(i));
+    fn archive_rejects_a_name_given_twice() {
+        // The writer cannot produce this (names are map keys), so build the
+        // two records by hand: the second must not silently replace the
+        // first.
+        let mut bytes = b"ZARC".to_vec();
+        bytes.extend_from_slice(&2u32.to_le_bytes());
+        for seed in [7, 8] {
+            let blob = serialize::to_bytes(&tensor(seed));
+            bytes.extend_from_slice(&1u32.to_le_bytes());
+            bytes.extend_from_slice(b"w");
+            bytes.extend_from_slice(&(blob.len() as u64).to_le_bytes());
+            bytes.extend_from_slice(&blob);
         }
-        let mut next = base.clone();
-        // Perturb one tensor slightly.
-        let w = WeightGen::new(0.02).seed(3).matrix(64, 64);
-        let mut w2 = w.clone();
-        w2[(0, 0)] = Bf16::from_f32(w[(0, 0)].to_f32() + 0.001);
-        next.insert(
-            "layer.3",
-            TbeCompressor::new().compress(&w2).expect("tileable"),
-        );
-
-        let delta = SnapshotDelta::diff(&base, &next);
-        assert_eq!(delta.changed_count(), 1);
-        let full = next.compressed_bytes();
-        assert!(
-            (delta.delta_bytes() as f64) < 0.2 * full as f64,
-            "delta {} vs full {full}",
-            delta.delta_bytes()
+        assert_eq!(
+            ModelArchive::from_bytes(&bytes),
+            Err(TbeError::Corrupt("duplicate tensor name"))
         );
     }
 

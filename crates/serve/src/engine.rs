@@ -323,7 +323,7 @@ impl EngineBuilder {
             prefix_caching: self.prefix_caching,
             fault_plan: self.fault_plan,
             kv_capacity: 0,
-            step_memo: Arc::new(Mutex::new(HashMap::new())),
+            prices: Arc::default(),
         };
         engine.kv_capacity = engine.compute_kv_capacity_tokens();
         Ok(engine)
@@ -350,19 +350,28 @@ pub struct ServingEngine {
     /// KV capacity in tokens, derived once at build time (see
     /// [`ServingEngine::kv_capacity_tokens`]).
     kv_capacity: u64,
-    /// Cross-run decode-step price memo, keyed like the schedulers' local
-    /// step caches (`(step_cache_key, context bucket)` → `(total ms, comm
-    /// ms)`). Step costs are pure functions of the frozen deployment, so
-    /// pricing a shape once per engine — not once per scheduler run — is
-    /// sound; clones share the memo. Chunked prefill made this matter: the
-    /// decode-ready batch ramps through many micro-batch shapes per run,
-    /// and re-pricing the ramp every run dominated multi-rank simulations.
-    step_memo: StepMemo,
+    /// Cross-run price memo for decode steps and prefills, shared by
+    /// clones (see [`PriceMemo`]).
+    prices: Arc<Mutex<PriceMemo>>,
 }
 
-/// `(step_cache_key, context bucket)` → `(total ms, comm ms)`, shared
-/// across engine clones.
-type StepMemo = Arc<Mutex<HashMap<(u64, u64), (f64, f64)>>>;
+/// The prices an engine has computed, kept for its lifetime and shared by
+/// its clones. A decode step's or a prefill's cost is a pure function of
+/// the frozen deployment (kind, model, cluster, micro-batches) and the
+/// shape priced, so pricing each shape once per engine — not once per
+/// admission or per scheduler run — returns the same bits. Serving calls
+/// price few distinct shapes many times over: a paper-mix trace admits
+/// thousands of requests at a handful of prompt lengths, and chunked
+/// prefill ramps the decode batch through the same micro-batch shapes in
+/// every run.
+#[derive(Debug, Default)]
+struct PriceMemo {
+    /// `(step_cache_key, context bucket)` → `(total ms, comm ms)`, keyed
+    /// like the schedulers' local step caches.
+    steps: HashMap<(u64, u64), (f64, f64)>,
+    /// `(batch, prompt_len)` → prefill ms.
+    prefills: HashMap<(u64, u64), f64>,
+}
 
 impl Clone for ServingEngine {
     fn clone(&self) -> Self {
@@ -378,7 +387,7 @@ impl Clone for ServingEngine {
             prefix_caching: self.prefix_caching,
             fault_plan: self.fault_plan.clone(),
             kv_capacity: self.kv_capacity,
-            step_memo: Arc::clone(&self.step_memo),
+            prices: Arc::clone(&self.prices),
         }
     }
 }
@@ -659,8 +668,8 @@ impl ServingEngine {
             let step = self.decode_step(batch, bucket);
             (step.total_ms(), step.comm_ms())
         };
-        match self.step_memo.lock() {
-            Ok(mut memo) => *memo.entry(key).or_insert_with(price),
+        match self.prices.lock() {
+            Ok(mut memo) => *memo.steps.entry(key).or_insert_with(price),
             Err(_) => price(),
         }
     }
@@ -708,7 +717,25 @@ impl ServingEngine {
     /// time is the serial core scaled by the stage's layer share, and the
     /// GPipe fill/drain bubble plus per-slot activation hops are charged
     /// on top (see [`PipelineSchedule`]).
+    ///
+    /// The price is a pure function of the frozen deployment and
+    /// `(batch, prompt_len)`, so it is computed once per engine and read
+    /// from a memo after that; clones share the memo. A poisoned lock
+    /// falls back to pricing directly.
     pub fn prefill_ms(&self, batch: u64, prompt_len: u64) -> f64 {
+        let price = || self.price_prefill_ms(batch, prompt_len);
+        match self.prices.lock() {
+            Ok(mut memo) => *memo
+                .prefills
+                .entry((batch, prompt_len))
+                .or_insert_with(price),
+            Err(_) => price(),
+        }
+    }
+
+    /// The prefill cost model behind [`ServingEngine::prefill_ms`], priced
+    /// without the memo.
+    fn price_prefill_ms(&self, batch: u64, prompt_len: u64) -> f64 {
         let dims = self.model.dims();
         let spec = self.cluster.spec();
         let tokens = batch * prompt_len;
@@ -1130,6 +1157,37 @@ mod tests {
         let clone = engine.clone();
         assert_eq!(clone.policy().name(), engine.policy().name());
         assert_eq!(clone.kv_capacity_tokens(), engine.kv_capacity_tokens());
+    }
+
+    #[test]
+    fn prefill_memo_keys_on_batch_and_prompt() {
+        // The same prompt at batch 1 and 2, and the same token count split
+        // two ways, price differently; asking two fresh engines in opposite
+        // orders catches a memo that keys on less than `(batch, prompt)`.
+        let shapes = [(1, 512), (2, 512), (1, 1024), (2, 2048), (4, 1024)];
+        for cluster in [
+            GpuCluster::single(Gpu::Rtx4090),
+            GpuCluster::pipeline_parallel(Gpu::L40s, 1, 2),
+        ] {
+            let fresh = || ServingEngine::builder().cluster(cluster).build();
+            let (forward, backward) = (fresh(), fresh());
+            let ahead: Vec<u64> = shapes
+                .iter()
+                .map(|&(b, p)| forward.prefill_ms(b, p).to_bits())
+                .collect();
+            let mut behind: Vec<u64> = shapes
+                .iter()
+                .rev()
+                .map(|&(b, p)| backward.prefill_ms(b, p).to_bits())
+                .collect();
+            behind.reverse();
+            assert_eq!(ahead, behind, "pp {}", cluster.pp());
+            let clone = forward.clone();
+            for (&(b, p), &bits) in shapes.iter().zip(&ahead) {
+                assert_eq!(clone.prefill_ms(b, p).to_bits(), bits);
+                assert_eq!(forward.price_prefill_ms(b, p).to_bits(), bits);
+            }
+        }
     }
 
     #[test]

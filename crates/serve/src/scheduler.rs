@@ -1364,7 +1364,7 @@ impl<'a> SchedulerState<'a> {
                     }
                 }
                 FaultKind::LinkDegrade { factor, duration_s } => {
-                    books.state.link_factor = factor.max(1.0);
+                    books.state.link_factor = factor;
                     books.state.link_until = self.now + duration_s;
                     books.rob.link_degrades += 1;
                 }
@@ -1976,6 +1976,25 @@ mod tests {
             let expected = (residents as u64 * 256) as f64 / budget as f64;
             assert_eq!(state.kv_pressure(0), expected, "{kind}");
         }
+    }
+
+    #[test]
+    fn a_resident_reserves_the_pages_of_its_whole_lifetime() {
+        // Prompt and output share the request's last page: 17 + 15 tokens
+        // fill two pages like 16 + 16, and 17 + 16 spill into a third.
+        let engine = ServingEngine::builder().build();
+        let (plan, retry) = (FaultPlan::default(), RetryPolicy::default());
+        let pressure = |prompt: u64, output: u64| {
+            let mut state = SchedulerState::new(&engine, &Fcfs, 64, &plan, &retry);
+            state.push(Request::new(0, 0.0, prompt, output));
+            state.step_until(0.001);
+            assert_eq!(state.running.len(), 1, "{prompt} + {output} is resident");
+            (state.kv_pressure(0), state.rank_budgets[0] as f64)
+        };
+        let (two, budget) = pressure(16, 16);
+        assert_eq!(two, 2.0 / budget);
+        assert_eq!(pressure(17, 15).0, two);
+        assert_eq!(pressure(17, 16).0, 3.0 / budget);
     }
 
     #[test]

@@ -195,6 +195,27 @@ fn multi_tenant_caching_saves_prefill_and_completes_everything() {
     );
 }
 
+/// A caching fleet's prefix counters are its replicas' counters summed,
+/// field by field, shared pages included.
+#[test]
+fn fleet_prefix_counters_sum_the_replicas() {
+    let arrivals = ArrivalMix::multi_tenant_mix().generate(7.0, 160, 53);
+    let report = FleetRouter::new(SessionAffinity::default())
+        .with_replicas(&engine(GpuCluster::single(Gpu::Rtx4090), true), 3)
+        .run(arrivals);
+    let sum = |field: fn(&PrefixStats) -> u64| -> u64 {
+        report.per_replica.iter().map(|r| field(&r.prefix)).sum()
+    };
+    let fleet = report.prefix();
+    assert_eq!(fleet.lookups, sum(|s| s.lookups));
+    assert_eq!(fleet.hits, sum(|s| s.hits));
+    assert_eq!(fleet.misses, sum(|s| s.misses));
+    assert_eq!(fleet.evictions, sum(|s| s.evictions));
+    assert_eq!(fleet.tokens_saved, sum(|s| s.tokens_saved));
+    assert_eq!(fleet.pages_shared, sum(|s| s.pages_shared));
+    assert!(fleet.pages_shared > 0, "no replica forked a cached prefix");
+}
+
 /// Determinism of the cached path itself: same engine, same stream,
 /// same report — registry state is rebuilt from scratch per run.
 #[test]
