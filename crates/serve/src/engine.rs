@@ -11,12 +11,12 @@
 //! | **Transformers** | dense BF16 | eager dense GEMM (unfused epilogues) | eager | high |
 //! | **DFloat11** | Huffman (≈70%) | eager dense GEMM after per-step block decompression | eager | high |
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use crate::attention::{decode_attention_us, prefill_attention_us};
 use crate::cluster::GpuCluster;
 use crate::fault::{FaultPlan, RetryPolicy};
+use crate::fxhash::FxHashMap;
 use crate::kvcache::{pages_in, KvShards};
 use crate::memory::{MemoryPlan, PlanError, WeightFormat};
 use crate::metrics::{RunReport, StepBreakdown};
@@ -368,9 +368,9 @@ pub struct ServingEngine {
 struct PriceMemo {
     /// `(step_cache_key, context bucket)` → `(total ms, comm ms)`, keyed
     /// like the schedulers' local step caches.
-    steps: HashMap<(u64, u64), (f64, f64)>,
+    steps: FxHashMap<(u64, u64), (f64, f64)>,
     /// `(batch, prompt_len)` → prefill ms.
-    prefills: HashMap<(u64, u64), f64>,
+    prefills: FxHashMap<(u64, u64), f64>,
 }
 
 impl Clone for ServingEngine {

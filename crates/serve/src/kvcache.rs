@@ -9,7 +9,7 @@
 //! count of the pages its residents reserve, and [`PrefixRegistry`]
 //! counts the pages cached prefixes hold in refcounted blocks.
 
-use std::collections::HashMap;
+use crate::fxhash::FxHashMap;
 
 /// Tokens per KV page (vLLM's default block size).
 pub const PAGE_TOKENS: u64 = 16;
@@ -182,13 +182,13 @@ pub struct PrefixRegistry {
     /// Pages their blocks hold now.
     used: u64,
     victim: PrefixVictim,
-    entries: HashMap<u64, PrefixEntry>,
-    children: HashMap<u64, ChildFork>,
+    entries: FxHashMap<u64, PrefixEntry>,
+    children: FxHashMap<u64, ChildFork>,
     /// Each entry's blocks in allocation order, for as long as the entry
     /// or a fork of it holds any. Block `i` is held by the entry while it
     /// is cached and by every fork taken after `i` was allocated, so
     /// holder counts never rise along a chain.
-    chains: HashMap<u64, Vec<Block>>,
+    chains: FxHashMap<u64, Vec<Block>>,
     clock: u64,
     next_chain: u64,
     stats: PrefixStats,
@@ -202,9 +202,9 @@ impl PrefixRegistry {
             budget: shards.capacity_tokens() / PAGE_TOKENS,
             used: 0,
             victim,
-            entries: HashMap::new(),
-            children: HashMap::new(),
-            chains: HashMap::new(),
+            entries: FxHashMap::default(),
+            children: FxHashMap::default(),
+            chains: FxHashMap::default(),
             clock: 0,
             next_chain: 0,
             stats: PrefixStats::default(),
@@ -541,19 +541,22 @@ mod tests {
 
     #[test]
     fn registry_grows_entry_for_longer_followups() {
-        let mut r = registry(8, PrefixVictim::ColdPrefix);
-        r.admit(1, 0xAA, 16, 64);
-        // A follow-up carrying 48 tokens of the same session hits on the
-        // cached 16 and extends the entry to 48.
-        assert_eq!(r.admit(2, 0xAA, 48, 64), 16);
-        r.release(2);
-        // The next turn hits on the grown entry; a shorter prefix under the
-        // same hash hits on its own length and shrinks nothing.
-        assert_eq!(r.admit(3, 0xAA, 48, 64), 48);
-        assert_eq!(r.admit(4, 0xAA, 16, 64), 16);
-        r.release(3);
-        r.release(4);
-        assert_eq!(r.pages(), 3);
+        // On a 3-page budget the grown entry fills the budget exactly.
+        for budget in [8, 3] {
+            let mut r = registry(budget, PrefixVictim::ColdPrefix);
+            r.admit(1, 0xAA, 16, 64);
+            // A follow-up carrying 48 tokens of the same session hits on the
+            // cached 16 and extends the entry to 48.
+            assert_eq!(r.admit(2, 0xAA, 48, 64), 16);
+            r.release(2);
+            // The next turn hits on the grown entry; a shorter prefix under
+            // the same hash hits on its own length and shrinks nothing.
+            assert_eq!(r.admit(3, 0xAA, 48, 64), 48, "budget {budget}");
+            assert_eq!(r.admit(4, 0xAA, 16, 64), 16);
+            r.release(3);
+            r.release(4);
+            assert_eq!(r.pages(), 3);
+        }
     }
 
     #[test]

@@ -41,6 +41,7 @@ pub mod cluster;
 pub mod engine;
 pub mod fault;
 pub mod fleet;
+mod fxhash;
 pub mod kvcache;
 pub mod memory;
 pub mod metrics;

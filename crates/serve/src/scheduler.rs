@@ -20,12 +20,13 @@ use crate::engine::ServingEngine;
 use crate::fault::{
     FaultEvent, FaultKind, FaultPlan, FaultState, RejectReason, Rejection, RetryPolicy,
 };
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::kvcache::{pages_for, PrefixRegistry, PrefixStats, PAGE_TOKENS};
 use crate::metrics::{percentile, ClassStats, RobustnessStats};
 use crate::policy::{
     PreemptionMode, PriorityClass, QueuedRequest, RunningRequest, SchedulePolicy, Slo,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 pub use crate::policy::MAX_PREEMPTIONS;
 
@@ -434,15 +435,20 @@ struct FaultBooks {
     state: FaultState,
     rob: RobustnessStats,
     /// Ids victimized by a failure and not yet re-served or rejected.
-    victims_outstanding: HashSet<u64>,
+    victims_outstanding: FxHashSet<u64>,
     /// When the oldest still-open recovery window opened.
     recover_started: Option<f64>,
 }
 
 impl FaultBooks {
     /// A victim id got re-served or rejected; when the last one resolves,
-    /// the time-to-recover window closes.
+    /// the time-to-recover window closes. Every admission calls this, and
+    /// while no victim is outstanding (always, on a clean run) it returns
+    /// without hashing the id.
     fn resolve_victim(&mut self, id: u64, now: f64) {
+        if self.victims_outstanding.is_empty() {
+            return;
+        }
         if self.victims_outstanding.remove(&id) && self.victims_outstanding.is_empty() {
             if let Some(t0) = self.recover_started.take() {
                 self.rob.time_to_recover_s += now - t0;
@@ -565,7 +571,7 @@ pub struct SchedulerState<'a> {
     /// fresh miss pricing a shape already priced). The cached pair is
     /// fault-independent — degradation scales it *after* the lookup — so
     /// the key needs no fault epoch.
-    step_cache: HashMap<(u64, u64), (f64, f64)>,
+    step_cache: FxHashMap<(u64, u64), (f64, f64)>,
     cache_stats: StepCacheStats,
     /// Last clock reading, for the debug-build monotonicity check.
     #[cfg(debug_assertions)]
@@ -608,7 +614,7 @@ impl<'a> SchedulerState<'a> {
             books: FaultBooks {
                 state: FaultState::new(engine.cluster().total_ranks()),
                 rob: RobustnessStats::default(),
-                victims_outstanding: HashSet::new(),
+                victims_outstanding: FxHashSet::default(),
                 recover_started: None,
             },
             prefill_chunks: if engine.chunked_prefill() {
@@ -630,7 +636,7 @@ impl<'a> SchedulerState<'a> {
             output_tokens: 0,
             preemptions: 0,
             comm_s: 0.0,
-            step_cache: HashMap::new(),
+            step_cache: FxHashMap::default(),
             cache_stats: StepCacheStats::default(),
             #[cfg(debug_assertions)]
             last_now: 0.0,
@@ -1185,22 +1191,22 @@ impl<'a> SchedulerState<'a> {
         }
 
         // One decode step for the batch's decode-ready subset (residents
-        // still mid-prefill occupy KV but don't decode yet; on the legacy
-        // path every resident has zero chunks left, so the filter is the
-        // identity and the arithmetic below is bit-for-bit the old loop).
-        let batch = self.running.iter().filter(|f| !f.is_prefilling()).count() as u64;
+        // still mid-prefill occupy KV but don't decode yet; without chunked
+        // prefill every resident decodes). One pass counts them and sums
+        // their context.
+        let (batch, context) = self
+            .running
+            .iter()
+            .filter(|f| !f.is_prefilling())
+            .fold((0u64, 0u64), |(n, sum), f| {
+                (n + 1, sum + f.req.prompt_len + f.generated)
+            });
         if batch == 0 {
             // Whole batch still prefilling: chunks advanced time above, so
             // the loop makes progress without a decode step.
             return None;
         }
-        let mean_context: u64 = self
-            .running
-            .iter()
-            .filter(|f| !f.is_prefilling())
-            .map(|f| f.req.prompt_len + f.generated)
-            .sum::<u64>()
-            / batch;
+        let mean_context = context / batch;
         let bucket = (mean_context / 256).max(1) * 256;
         let key = (self.engine.step_cache_key(batch), bucket);
         let (ms, comm_ms) = match self.step_cache.get(&key) {
@@ -1234,31 +1240,39 @@ impl<'a> SchedulerState<'a> {
         }
         self.output_tokens += batch;
 
-        // Advance and retire (decode-ready residents only; identity filter
-        // on the legacy path).
+        // Advance and retire in one pass, in batch order: each decode-ready
+        // resident gains a token (stamping its first), and a finished one
+        // leaves the batch, returning its pages and prefix fork and
+        // recording its completion. The pass also notes what the
+        // fast-forward reads: whether anyone is still prefilling, and the
+        // fewest tokens any remaining resident has left.
         let now = self.now;
-        for f in self.running.iter_mut().filter(|f| !f.is_prefilling()) {
-            f.generated += 1;
-            if f.first_token_s.is_none() {
-                f.first_token_s = Some(now);
-            }
-        }
         let (registry, completions, reserved) = (
             &mut self.registry,
             &mut self.completions,
             &mut self.reserved_pages,
         );
-        self.running.retain(|f| {
-            if !f.is_prefilling() && f.generated >= f.req.output_len {
-                *reserved -= lifetime_pages(&f.req);
-                if let Some(reg) = registry.as_mut() {
-                    reg.release(f.req.id);
-                }
-                completions.push(complete(f, now));
-                false
-            } else {
-                true
+        let (mut prefilling, mut to_first_completion) = (false, u64::MAX);
+        self.running.retain_mut(|f| {
+            if f.is_prefilling() {
+                prefilling = true;
+                return true;
             }
+            f.generated += 1;
+            if f.first_token_s.is_none() {
+                f.first_token_s = Some(now);
+            }
+            let left = f.remaining_output();
+            if left > 0 {
+                to_first_completion = to_first_completion.min(left);
+                return true;
+            }
+            *reserved -= lifetime_pages(&f.req);
+            if let Some(reg) = registry.as_mut() {
+                reg.release(f.req.id);
+            }
+            completions.push(complete(f, now));
+            false
         });
 
         // Decode fast-forward. While the batch is unchanged (nobody
@@ -1271,18 +1285,12 @@ impl<'a> SchedulerState<'a> {
         // nothing, whatever has arrived.
         let batch_full = self.running.len() >= self.max_batch;
         if self.running.len() as u64 != batch
-            || self.running.iter().any(RunningRequest::is_prefilling)
+            || prefilling
             || !fault_clean
             || !(batch_full || self.pending.is_empty())
         {
             return None;
         }
-        let to_first_completion = self
-            .running
-            .iter()
-            .map(RunningRequest::remaining_output)
-            .min()
-            .unwrap_or(0);
         let rounds_left = to_first_completion
             .saturating_sub(1)
             .min(bucket + 255 - mean_context);
@@ -1522,7 +1530,11 @@ pub fn run_policy_faulted(
     plan: &FaultPlan,
     retry: &RetryPolicy,
 ) -> ScheduleReport {
-    arrivals.sort_by(|a, b| a.arrival_s.partial_cmp(&b.arrival_s).expect("finite"));
+    // A stable sort allocates scratch for the whole trace even when, as
+    // usual, it is sorted already.
+    if !arrivals.is_sorted_by(|a, b| a.arrival_s <= b.arrival_s) {
+        arrivals.sort_by(|a, b| a.arrival_s.partial_cmp(&b.arrival_s).expect("finite"));
+    }
     let mut state = SchedulerState::new(engine, policy, max_batch, plan, retry);
     // Push the sorted trace in one move.
     #[cfg(debug_assertions)]
@@ -1995,6 +2007,129 @@ mod tests {
         assert_eq!(two, 2.0 / budget);
         assert_eq!(pressure(17, 15).0, two);
         assert_eq!(pressure(17, 16).0, 3.0 / budget);
+    }
+
+    /// A two-stage L40S pipeline with `micro_batches` chunk slots per
+    /// round; chunked prefill is on by default at `pp >= 2`, streaming each
+    /// fresh prefill as two chunks.
+    fn pipelined(micro_batches: u32) -> ServingEngine {
+        ServingEngine::builder()
+            .cluster(GpuCluster::pipeline_parallel(Gpu::L40s, 1, 2))
+            .micro_batches(micro_batches)
+            .build()
+    }
+
+    /// A resident admitted on arrival with nothing generated yet, `chunks`
+    /// prefill chunks of 1 ms each short of decoding.
+    fn resident(req: Request, chunks: u32) -> RunningRequest {
+        RunningRequest {
+            req,
+            admitted_s: req.arrival_s,
+            generated: 0,
+            preemptions: 0,
+            first_admitted_s: req.arrival_s,
+            first_token_s: None,
+            retries: 0,
+            prefill_chunks_left: chunks,
+            prefill_chunk_s: 1e-3,
+        }
+    }
+
+    #[test]
+    fn prefill_chunks_go_to_the_most_urgent_resident_first() {
+        // One chunk slot per round, five residents one chunk short of
+        // decoding: the order in which they leave prefill is the chunk
+        // order. Higher class first, then earlier arrival, then lower id;
+        // neither batch position nor id alone gives that order.
+        let engine = pipelined(1);
+        let (plan, retry) = (FaultPlan::default(), RetryPolicy::default());
+        let mut state = SchedulerState::new(&engine, &Fcfs, 64, &plan, &retry);
+        let residents = [
+            (1, PriorityClass::Batch, 0.0),
+            (5, PriorityClass::Standard, 1.0),
+            (2, PriorityClass::Standard, 1.0),
+            (7, PriorityClass::Standard, 0.5),
+            (9, PriorityClass::Interactive, 3.0),
+        ];
+        state.running = residents
+            .iter()
+            .map(|&(id, class, at)| resident(Request::new(id, at, 64, 64).with_priority(class), 1))
+            .collect();
+        let mut order = Vec::new();
+        for _ in 0..residents.len() {
+            state.decode_round();
+            // The resident whose chunk ran decodes its first token at once.
+            order.extend(
+                state
+                    .running
+                    .iter()
+                    .filter(|f| f.generated == 1)
+                    .map(|f| f.req.id),
+            );
+        }
+        assert_eq!(order, [9, 7, 2, 5, 1]);
+    }
+
+    #[test]
+    fn a_round_decodes_only_its_decode_ready_residents() {
+        // A, one token from done, decodes beside B, which is still
+        // prefilling. The round runs B's chunk, then prices one decode step
+        // for A alone at A's context bucket (600 tokens: bucket 512), and
+        // retires A. B left mid-prefill opens no fast-forward.
+        let engine = pipelined(1);
+        let (plan, retry) = (FaultPlan::default(), RetryPolicy::default());
+        let mut state = SchedulerState::new(&engine, &Fcfs, 64, &plan, &retry);
+        state.running = vec![
+            resident(Request::new(0, 0.0, 600, 1), 0),
+            resident(Request::new(1, 0.0, 4000, 8), 2),
+        ];
+        state.reserved_pages = pages_for(600 + 1) + pages_for(4000 + 8);
+        assert!(state.decode_round().is_none(), "B is still prefilling");
+        let step_s = engine.decode_step(1, 512).total_ms() / 1e3;
+        assert_eq!(state.now, 1e-3 + step_s);
+        assert_eq!(state.output_tokens, 1);
+        assert_eq!(state.completions.len(), 1);
+        assert_eq!(state.completions[0].ttft_s, 1e-3 + step_s);
+        assert_eq!(state.running.len(), 1);
+        assert_eq!(state.running[0].prefill_chunks_left, 1);
+        assert_eq!(state.reserved_pages, pages_for(4000 + 8));
+    }
+
+    #[test]
+    fn chunked_admission_keeps_at_most_micro_batches_residents_prefilling() {
+        // Two chunk slots per round. Of five requests arriving together,
+        // the first round admits two: a third would make three residents
+        // prefilling at once. Both of the round's chunks go to request 0,
+        // which decodes its first token; request 1 still has both of its
+        // chunks, so the next round admits one more, and so on.
+        let engine = pipelined(2);
+        let (plan, retry) = (FaultPlan::default(), RetryPolicy::default());
+        let mut state = SchedulerState::new(&engine, &Fcfs, 64, &plan, &retry);
+        for id in 0..5 {
+            state.push(Request::new(id, 0.0, 512, 64));
+        }
+        let mut rounds = Vec::new();
+        for _ in 0..3 {
+            // A horizon a hair past the clock runs exactly one round.
+            state.step_until(state.now + 1e-9);
+            rounds.push(
+                state
+                    .running
+                    .iter()
+                    .map(|f| (f.req.id, f.prefill_chunks_left, f.generated))
+                    .collect::<Vec<_>>(),
+            );
+        }
+        // (id, chunks left, tokens generated) per resident, round by round.
+        assert_eq!(
+            rounds,
+            [
+                vec![(0, 0, 1), (1, 2, 0)],
+                vec![(0, 0, 2), (1, 0, 1), (2, 2, 0)],
+                vec![(0, 0, 3), (1, 0, 2), (2, 0, 1), (3, 2, 0)],
+            ]
+        );
+        assert_eq!(state.finish().completions.len(), 5);
     }
 
     #[test]
