@@ -3,15 +3,25 @@
 //! A [`FleetRouter`] owns N replicas — each its own [`ServingEngine`] (and
 //! therefore its own `SchedulePolicy`, KV books and optional `FaultPlan`)
 //! — and partitions a shared arrival trace across them with a pluggable
-//! [`RoutePolicy`]. The fleet runs on one clock: each replica is a
-//! resumable [`SchedulerState`], and before every arrival each replica's
-//! scheduler steps to the arrival time. Routing therefore reads the
-//! replicas' *live* state ([`ReplicaSnapshot`]): requests in flight, and
-//! per-rank KV pressure from the books each replica's admission keeps.
-//! The arrival is then pushed to the chosen replica, and at the end each
-//! replica's [`ScheduleReport`] is merged into a [`FleetReport`]. A
-//! replica's report is exactly the one it would produce serving its share
-//! of the trace on its own.
+//! [`RoutePolicy`]. Each replica is a resumable [`SchedulerState`], whose
+//! report does not depend on how its arrivals are fed, so a replica's
+//! report is exactly the one it would produce serving its share of the
+//! trace on its own. The router feeds the replicas in one of two ways:
+//!
+//! * **Lockstep**, for policies that read load
+//!   ([`RoutePolicy::reads_load`]) and whenever autoscaling is on. The
+//!   fleet runs on one clock: before every arrival each replica's
+//!   scheduler steps to the arrival time, so routing reads the replicas'
+//!   *live* state ([`ReplicaSnapshot`]): requests in flight, and per-rank
+//!   KV pressure from the books each replica's admission keeps. The
+//!   arrival is then pushed to the chosen replica.
+//! * **Route first**, for load-blind policies ([`RoundRobin`],
+//!   [`SessionAffinity`]) with autoscaling off. The whole trace is routed
+//!   up front, and the replicas then serve their shares side by side, one
+//!   scoped worker thread per available CPU.
+//!
+//! At the end each replica's [`ScheduleReport`] is merged into a
+//! [`FleetReport`].
 //!
 //! **Autoscaling** ([`FleetRouter::autoscale`]) is opt-in (default off,
 //! which makes a single-replica fleet bit-compatible with the bare
@@ -19,6 +29,9 @@
 //! scheduler over the first replica's engine (a new replica costs O(1));
 //! scale-down marks the highest-index active replica as draining: it
 //! finishes its assigned work but receives no new traffic.
+
+use std::num::NonZeroUsize;
+use std::sync::Mutex;
 
 use crate::engine::ServingEngine;
 use crate::fault::{FaultKind, RejectReason, Rejection, RetryPolicy};
@@ -60,6 +73,23 @@ pub trait RoutePolicy: core::fmt::Debug {
     fn name(&self) -> &'static str;
     /// Pick a replica index for `req` given per-replica snapshots.
     fn route(&mut self, req: &Request, replicas: &[ReplicaSnapshot]) -> usize;
+    /// Whether [`RoutePolicy::route`] reads the replicas' load: their
+    /// in-flight depth or KV pressure. The default, `true`, keeps the
+    /// policy on [`FleetRouter::run`]'s lockstep path, where every
+    /// snapshot is live; a wrapper that does not forward this method stays
+    /// there too.
+    ///
+    /// A policy that returns `false` promises that its picks depend only on
+    /// the request, its own state, the replica count and the draining
+    /// flags. With autoscaling off, the router then routes the whole trace
+    /// first, against fixed zero-load snapshots (nothing in flight, every
+    /// rank at pressure 0, nothing draining), and serves the replicas'
+    /// shares in parallel. There an out-of-range pick goes to replica 0,
+    /// the least-loaded replica of those snapshots, not to the replica
+    /// least loaded at the arrival time.
+    fn reads_load(&self) -> bool {
+        true
+    }
 }
 
 /// Indices of the replicas taking traffic: the non-draining ones, or every
@@ -78,6 +108,10 @@ pub struct RoundRobin {
 impl RoutePolicy for RoundRobin {
     fn name(&self) -> &'static str {
         "round-robin"
+    }
+
+    fn reads_load(&self) -> bool {
+        false
     }
 
     fn route(&mut self, _req: &Request, replicas: &[ReplicaSnapshot]) -> usize {
@@ -155,6 +189,10 @@ impl Default for SessionAffinity {
 impl RoutePolicy for SessionAffinity {
     fn name(&self) -> &'static str {
         "session-affinity"
+    }
+
+    fn reads_load(&self) -> bool {
+        false
     }
 
     fn route(&mut self, req: &Request, replicas: &[ReplicaSnapshot]) -> usize {
@@ -443,15 +481,35 @@ impl FleetRouter {
         }
     }
 
-    /// Route the trace on one clock, then merge the replicas' reports.
+    /// Route and serve the trace, then merge the replicas' reports.
     ///
-    /// Arrivals are routed in arrival order (a stable sort). Before each
-    /// arrival every replica's scheduler steps to the arrival time, so
-    /// routing and autoscaling read live state: each replica's
-    /// in-flight depth (queued, running, and routed but not yet pulled)
-    /// and its own KV books. The arrival is then pushed to the chosen
-    /// replica. A replica's report is exactly what it would report serving
-    /// its share of the trace on its own.
+    /// Arrivals are routed in arrival order (a stable sort), on one of two
+    /// paths:
+    ///
+    /// * **Route first**, when the policy is load-blind
+    ///   ([`RoutePolicy::reads_load`] is `false`) and autoscaling is off.
+    ///   Every arrival is routed up front against fixed zero-load
+    ///   snapshots, so a stateful policy sees the same sequence and makes
+    ///   the same picks. The replicas then serve their shares on scoped
+    ///   threads: [`std::thread::available_parallelism`] workers, at most
+    ///   one per replica, the calling thread among them, largest share
+    ///   first. Each worker steps its replica to each arrival before
+    ///   pushing it, so a replica queues only what has arrived.
+    /// * **Lockstep** otherwise: the fleet runs on one clock. Before each
+    ///   arrival every replica's scheduler steps to the arrival time, so
+    ///   routing and autoscaling read live state: each replica's in-flight
+    ///   depth (queued, running, and routed but not yet pulled) and its own
+    ///   KV books. The arrival is then pushed to the chosen replica.
+    ///
+    /// A replica's report is exactly what it would report serving its
+    /// share of the trace on its own, so a load-blind policy gets the same
+    /// report on either path.
+    ///
+    /// # Panics
+    ///
+    /// A panic while a replica serves, such as a debug-build check in its
+    /// scheduler, propagates with its own payload once every worker thread
+    /// has been joined.
     pub fn run(mut self, mut arrivals: Vec<Request>) -> FleetReport {
         // A stable sort allocates scratch for the whole trace even when,
         // as usual, it is sorted already.
@@ -460,6 +518,14 @@ impl FleetRouter {
         }
         let route_policy = self.policy.name().to_string();
         let engines = std::mem::take(&mut self.engines);
+        if self.autoscale.is_none() && !engines.is_empty() && !self.policy.reads_load() {
+            return FleetReport {
+                per_replica: self.serve_routed_first(&engines, &arrivals),
+                rejections: Vec::new(),
+                autoscale_events: Vec::new(),
+                route_policy,
+            };
+        }
         let mut replicas: Vec<Replica<'_>> = engines.iter().map(Replica::new).collect();
         let mut snapshots: Vec<ReplicaSnapshot> = Vec::new();
         let mut rejections = Vec::new();
@@ -499,6 +565,86 @@ impl FleetRouter {
             autoscale_events,
             route_policy,
         }
+    }
+
+    /// [`FleetRouter::run`]'s route-first path: routes `arrivals` (sorted)
+    /// into one share per engine, then serves the shares in parallel and
+    /// returns the reports in replica order.
+    fn serve_routed_first(
+        &mut self,
+        engines: &[ServingEngine],
+        arrivals: &[Request],
+    ) -> Vec<ScheduleReport> {
+        let snapshots: Vec<ReplicaSnapshot> = engines
+            .iter()
+            .map(|e| ReplicaSnapshot {
+                in_flight: 0,
+                pressure: vec![0.0; e.cluster().total_ranks()],
+                draining: false,
+            })
+            .collect();
+        let mut shares: Vec<Vec<usize>> = vec![Vec::new(); engines.len()];
+        for (k, req) in arrivals.iter().enumerate() {
+            let idx = self.policy.route(req, &snapshots);
+            // `least_loaded` of the zero-load snapshots.
+            shares[if idx < engines.len() { idx } else { 0 }].push(k);
+        }
+        // The states, with room for every completion of their shares, are
+        // built here rather than in the workers: a worker thread's
+        // allocator arena would keep its own high-water mark.
+        let retry = RetryPolicy::default();
+        let mut jobs: Vec<(usize, SchedulerState<'_>, Vec<usize>)> = engines
+            .iter()
+            .zip(shares)
+            .enumerate()
+            .map(|(i, (engine, share))| {
+                let mut state = SchedulerState::new(
+                    engine,
+                    engine.policy(),
+                    engine.max_batch(),
+                    engine.fault_plan(),
+                    &retry,
+                );
+                state.reserve_completions(share.len());
+                (i, state, share)
+            })
+            .collect();
+        jobs.sort_by_key(|(_, _, share)| std::cmp::Reverse(share.len()));
+        let workers = std::thread::available_parallelism()
+            .map_or(1, NonZeroUsize::get)
+            .min(jobs.len());
+        let queue = Mutex::new(jobs.into_iter());
+        let serve = || {
+            let mut served = Vec::new();
+            loop {
+                let job = queue
+                    .lock()
+                    .expect("no worker panics while taking a job")
+                    .next();
+                let Some((i, mut state, share)) = job else {
+                    return served;
+                };
+                for &k in &share {
+                    let req = arrivals[k];
+                    state.step_until(req.arrival_s);
+                    state.push(req);
+                }
+                served.push((i, state.finish()));
+            }
+        };
+        let mut served = std::thread::scope(|s| {
+            let handles: Vec<_> = (1..workers).map(|_| s.spawn(serve)).collect();
+            let mut served = serve();
+            for handle in handles {
+                match handle.join() {
+                    Ok(more) => served.extend(more),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            }
+            served
+        });
+        served.sort_unstable_by_key(|&(i, _)| i);
+        served.into_iter().map(|(_, report)| report).collect()
     }
 }
 
@@ -644,7 +790,7 @@ mod tests {
     use super::*;
     use crate::cluster::GpuCluster;
     use crate::engine::{EngineKind, ServingEngine};
-    use crate::policy::Priority;
+    use crate::policy::{Priority, QueuedRequest, RunningRequest, SchedulePolicy};
     use crate::workload::ArrivalMix;
     use zipserv_gpu_sim::device::Gpu;
     use zipserv_kernels::shapes::LlmModel;
@@ -742,6 +888,70 @@ mod tests {
             let idx = p2c.route(&req, &snaps);
             assert_ne!(idx, 0, "picked the saturated replica");
         }
+    }
+
+    /// A load-blind policy that names no replica at all.
+    #[derive(Debug)]
+    struct Nowhere;
+
+    impl RoutePolicy for Nowhere {
+        fn name(&self) -> &'static str {
+            "nowhere"
+        }
+
+        fn route(&mut self, _: &Request, replicas: &[ReplicaSnapshot]) -> usize {
+            replicas.len()
+        }
+
+        fn reads_load(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn route_first_sends_out_of_range_picks_to_replica_0() {
+        // Nothing reads load on the route-first path, so every pick goes
+        // to replica 0, which serves the whole trace as if alone.
+        let engine = test_engine();
+        let arrivals = ArrivalMix::paper_mix().generate(24.0, 48, 5);
+        let report = FleetRouter::new(Nowhere)
+            .with_replicas(&engine, 3)
+            .run(arrivals.clone());
+        assert_eq!(report.per_replica[0], engine.serve_online(arrivals));
+        for idle in &report.per_replica[1..] {
+            assert!(idle.completions.is_empty() && idle.rejections.is_empty());
+        }
+    }
+
+    /// Panics at its first pick.
+    #[derive(Debug, Clone)]
+    struct Planted;
+
+    impl SchedulePolicy for Planted {
+        fn name(&self) -> &'static str {
+            "planted"
+        }
+
+        fn select(&self, _: &[QueuedRequest], _: &[RunningRequest], _: f64) -> Option<usize> {
+            panic!("planted panic in replica 1's policy");
+        }
+
+        fn clone_box(&self) -> Box<dyn SchedulePolicy> {
+            Box::new(self.clone())
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "planted panic in replica 1's policy")]
+    fn a_replica_panic_surfaces_with_its_own_message() {
+        // Replica 0 has the larger share, so the calling thread usually
+        // serves it while a worker thread serves replica 1 and panics.
+        let arrivals = ArrivalMix::paper_mix().generate(24.0, 101, 5);
+        let planted = ServingEngine::builder().policy(Planted).build();
+        let _ = FleetRouter::new(RoundRobin::default())
+            .with_replica(test_engine())
+            .with_replica(planted)
+            .run(arrivals);
     }
 
     #[test]

@@ -468,14 +468,15 @@ enum Phase {
     /// The engine is idle and the policy holds admission: the pass waits
     /// for whatever ends the hold first.
     Hold,
-    /// Part-way through a decode fast-forward.
-    FastForward(FastForward),
+    /// Part-way through the decode fast-forward in
+    /// [`SchedulerState::skip`].
+    FastForward,
 }
 
 /// A decode fast-forward in progress: the repeated step's cached cost, how
 /// many more rounds it may skip, and how many it has skipped so far (they
 /// are credited to the residents when the skip ends).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct FastForward {
     rounds_left: u64,
     skipped: u64,
@@ -508,9 +509,11 @@ enum Pass {
 /// bound — when the answer depends on a push still to come, and resumes
 /// exactly there. A paused fast-forward continues without re-running a
 /// round. So the report never depends on how the arrivals were fed:
-/// pushing a whole trace and finishing ([`run_policy_faulted`]) and
-/// stepping to each arrival before pushing it (the lockstep fleet of
-/// [`crate::fleet::FleetRouter`]) give bit-identical reports.
+/// pushing a whole trace and finishing ([`run_policy_faulted`]), stepping
+/// to every fleet arrival and pushing only this replica's (the lockstep
+/// fleet of [`crate::fleet::FleetRouter`]) and stepping to each of its own
+/// arrivals before pushing it (the fleet's route-first workers) give
+/// bit-identical reports.
 ///
 /// See [`run_policy_faulted`] for what one round does.
 #[derive(Debug)]
@@ -577,6 +580,9 @@ pub struct SchedulerState<'a> {
     #[cfg(debug_assertions)]
     last_now: f64,
     phase: Phase,
+    /// The skip a [`Phase::FastForward`] pause resumes. It lives outside
+    /// the fieldless `phase`, which the loop reads and writes every turn.
+    skip: FastForward,
 }
 
 impl<'a> SchedulerState<'a> {
@@ -641,6 +647,7 @@ impl<'a> SchedulerState<'a> {
             #[cfg(debug_assertions)]
             last_now: 0.0,
             phase: Phase::Round,
+            skip: FastForward::default(),
         }
     }
 
@@ -730,6 +737,12 @@ impl<'a> SchedulerState<'a> {
         }
     }
 
+    /// Makes room for `n` more completions, so that a caller who knows how
+    /// many requests it will push can size the buffer on its own thread.
+    pub(crate) fn reserve_completions(&mut self, n: usize) {
+        self.completions.reserve(n);
+    }
+
     /// Requests the scheduler holds: queued, running, and pushed but not
     /// yet pulled into the queue.
     pub fn in_flight(&self) -> usize {
@@ -790,15 +803,20 @@ impl<'a> SchedulerState<'a> {
                     }
                     let ff = self.decode_round();
                     self.assert_kv_books();
-                    ff.map_or(Phase::Round, Phase::FastForward)
+                    match ff {
+                        Some(ff) => {
+                            self.skip = ff;
+                            Phase::FastForward
+                        }
+                        None => Phase::Round,
+                    }
                 }
-                Phase::FastForward(ff) => match self.fast_forward(ff) {
-                    Some(rest) => {
-                        self.phase = Phase::FastForward(rest);
+                Phase::FastForward => {
+                    if self.fast_forward() {
                         return;
                     }
-                    None => Phase::Round,
-                },
+                    Phase::Round
+                }
             };
         }
     }
@@ -1309,10 +1327,12 @@ impl<'a> SchedulerState<'a> {
     /// time (the same float additions in the same order), stopping at an
     /// arrival or fault event, then credits each resident with the skipped
     /// tokens. Skipped rounds call no policy method and count as step-cache
-    /// hits. Returns the rest of the skip when it pauses at the horizon;
+    /// hits. Runs the skip in [`SchedulerState::skip`] and returns whether
+    /// it paused at the horizon, with the rest of the skip left there;
     /// nothing reads the residents' token counts before it resumes, so the
     /// credit waits until the skip ends.
-    fn fast_forward(&mut self, mut ff: FastForward) -> Option<FastForward> {
+    fn fast_forward(&mut self) -> bool {
+        let ff = &mut self.skip;
         // With nothing pushed ahead, a push still to come may arrive at the
         // horizon.
         let arrival_at = match self.arrivals.front() {
@@ -1330,20 +1350,22 @@ impl<'a> SchedulerState<'a> {
             comm_s += ff.comm_ms / 1e3;
             rounds += 1;
         }
-        (self.now, self.comm_s) = (now, comm_s);
-        self.assert_clock_monotone();
         ff.rounds_left -= rounds;
         ff.skipped += rounds;
         let at_horizon = !ff.batch_full && self.arrivals.is_empty() && self.horizon < f64::INFINITY;
-        if ff.rounds_left > 0 && event_at > self.now && at_horizon {
-            return Some(ff);
+        let paused = ff.rounds_left > 0 && event_at > now && at_horizon;
+        let (skipped, batch) = (ff.skipped, ff.batch);
+        (self.now, self.comm_s) = (now, comm_s);
+        self.assert_clock_monotone();
+        if paused {
+            return true;
         }
         for f in self.running.iter_mut() {
-            f.generated += ff.skipped;
+            f.generated += skipped;
         }
-        self.output_tokens += ff.skipped * ff.batch;
-        self.cache_stats.hits += ff.skipped;
-        None
+        self.output_tokens += skipped * batch;
+        self.cache_stats.hits += skipped;
+        false
     }
 
     /// Applies every fault event due at or before `now` (plus link-window
@@ -1988,6 +2010,37 @@ mod tests {
             let expected = (residents as u64 * 256) as f64 / budget as f64;
             assert_eq!(state.kv_pressure(0), expected, "{kind}");
         }
+    }
+
+    #[test]
+    fn a_dead_rank_leaves_admission_whole_pages_only() {
+        // TP2 RTX 4090 under Transformers holds 126,700 KV tokens. With
+        // rank 1 dead, admission may fill 63,350: 3,959 whole pages
+        // (3,959.375). Beside a 3,958-page resident, one more page fits and
+        // two wait for the resident to finish.
+        let engine = ServingEngine::builder()
+            .kind(EngineKind::Transformers)
+            .cluster(GpuCluster::pipeline_parallel(Gpu::Rtx4090, 2, 1))
+            .build();
+        assert_eq!(engine.kv_capacity_tokens(), 126_700);
+        let plan = FaultPlan::new().rank_fail(0.0, 1);
+        let resident = Request::new(0, 0.0, 3958 * PAGE_TOKENS - 2000, 2000);
+        let waits = |tokens: u64| {
+            let second = Request::new(1, 0.0, tokens - 1, 1);
+            let retry = RetryPolicy::default();
+            let report =
+                run_policy_faulted(&engine, &Fcfs, 64, vec![resident, second], &plan, &retry);
+            let done = |id: u64| {
+                *report
+                    .completions
+                    .iter()
+                    .find(|c| c.id == id)
+                    .expect("completed")
+            };
+            done(1).queue_s >= done(0).latency_s
+        };
+        assert!(!waits(PAGE_TOKENS), "a 1-page request fits beside it");
+        assert!(waits(2 * PAGE_TOKENS), "a 2-page request waits");
     }
 
     #[test]

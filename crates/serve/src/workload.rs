@@ -426,17 +426,23 @@ impl Trace {
     /// Parses a trace back into the request stream [`Trace::record`]
     /// serialized, bit-identically. Blank lines and `#` comments after
     /// the header are skipped.
+    ///
+    /// Fields are separated, and lines trimmed, by ASCII whitespace only:
+    /// space, tab, line feed, form feed and carriage return. Any other
+    /// character belongs to a field, so a line whose fields are split by
+    /// Unicode whitespace such as U+00A0 is malformed and returns a
+    /// [`TraceError`] naming it. [`Trace::record`] writes single spaces.
     pub fn replay(text: &str) -> Result<Vec<Request>, TraceError> {
         let err = |line: usize, msg: String| TraceError { line, msg };
         let mut lines = text.lines().enumerate();
         let header = lines.next().ok_or_else(|| err(1, "empty trace".into()))?;
-        if header.1.trim() != Self::HEADER {
+        if header.1.trim_ascii() != Self::HEADER {
             return Err(err(1, format!("expected header {:?}", Self::HEADER)));
         }
         let mut out = Vec::new();
         for (idx, raw) in lines {
             let line_no = idx + 1;
-            let line = raw.trim();
+            let line = raw.trim_ascii();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
@@ -448,7 +454,7 @@ impl Trace {
             let mut slo = None;
             let mut tenant = None;
             let mut prefix = None;
-            for field in line.split_whitespace() {
+            for field in line.split_ascii_whitespace() {
                 let (key, value) = field
                     .split_once('=')
                     .ok_or_else(|| err(line_no, format!("field {field:?} is not key=value")))?;
@@ -711,5 +717,23 @@ mod tests {
         let reqs = Trace::replay(&commented).expect("comments skipped");
         assert_eq!(reqs.len(), 1);
         assert_eq!(reqs[0].id, 7);
+    }
+
+    #[test]
+    fn trace_fields_split_on_ascii_whitespace_only() {
+        let tabbed = format!("{}\nid=7\tt=1.5 \tprompt=64\toutput=8\t\r\n", Trace::HEADER);
+        assert_eq!(
+            Trace::replay(&tabbed),
+            Ok(vec![Request::new(7, 1.5, 64, 8)])
+        );
+        // U+00A0 is whitespace to Unicode, not to the format: the first
+        // field reads as `id` = "7\u{a0}t=1.5".
+        let nbsp = format!(
+            "{}\nid=6 t=1 prompt=64 output=8\nid=7\u{a0}t=1.5 prompt=64 output=8",
+            Trace::HEADER
+        );
+        let e = Trace::replay(&nbsp).unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.msg.contains("bad id"), "{}", e.msg);
     }
 }

@@ -1,9 +1,11 @@
 //! Fleet-routing pins: determinism, single-replica bit-compatibility,
-//! fault-aware traffic shifting, autoscaling, per-class prefill modes,
-//! and the PR's acceptance criterion (power-of-two-choices beats
-//! round-robin on interactive p99 TTFT at ≥ 95% of its throughput).
+//! route-first serving equal to the lockstep fleet, fault-aware traffic
+//! shifting, autoscaling, per-class prefill modes, and the PR's acceptance
+//! criterion (power-of-two-choices beats round-robin on interactive p99
+//! TTFT at ≥ 95% of its throughput).
 
 use zipserv::prelude::*;
+use zipserv::serve::fleet::ReplicaSnapshot;
 use zipserv::serve::scheduler::{run_policy, ScheduleReport};
 
 fn fnv(h: &mut u64, bytes: &[u8]) {
@@ -84,6 +86,85 @@ fn single_replica_fleet_matches_run_policy_bit_for_bit() {
     assert_eq!(fleet.per_replica[0], bare);
     assert!(fleet.rejections.is_empty());
     assert!(fleet.autoscale_events.is_empty());
+}
+
+/// Delegates routing to a load-blind policy but keeps the default
+/// `reads_load`, so the router runs it in lockstep.
+#[derive(Debug)]
+struct Lockstep<P>(P);
+
+impl<P: RoutePolicy> RoutePolicy for Lockstep<P> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn route(&mut self, req: &Request, replicas: &[ReplicaSnapshot]) -> usize {
+        self.0.route(req, replicas)
+    }
+}
+
+/// A load-blind policy's fleet routes the trace first and serves the
+/// shares in parallel; its report equals the lockstep fleet's, field for
+/// field, with and without faults on replica 0 and prefix caching.
+#[test]
+fn route_first_fleet_matches_the_lockstep_fleet() {
+    let arrivals = ArrivalMix::multi_tenant_mix().generate(6.0, 240, 61);
+    let horizon = arrivals.last().map_or(0.0, |r| r.arrival_s);
+    for caching in [false, true] {
+        let build = |plan: FaultPlan| {
+            ServingEngine::builder()
+                .cluster(GpuCluster::tensor_parallel(Gpu::L40s, 2))
+                .policy(Priority::default())
+                .max_batch(16)
+                .chunked_prefill(caching)
+                .prefix_caching(caching)
+                .fault_plan(plan)
+                .build()
+        };
+        let clean = build(FaultPlan::new());
+        let faulted = build(
+            FaultPlan::seeded(19, horizon, 2)
+                .link_degrade(0.3 * horizon, 2.5, 0.15 * horizon)
+                .kv_stall(0.5 * horizon, 0.02 * horizon),
+        );
+        for first in [&clean, &faulted] {
+            for replicas in [1, 3, 4] {
+                let run = |policy: Box<dyn RoutePolicy>| {
+                    FleetRouter::new_boxed(policy)
+                        .with_replica(first.clone())
+                        .with_replicas(&clean, replicas - 1)
+                        .run(arrivals.clone())
+                };
+                let pairs: [(Box<dyn RoutePolicy>, Box<dyn RoutePolicy>); 2] = [
+                    (
+                        Box::new(RoundRobin::default()),
+                        Box::new(Lockstep(RoundRobin::default())),
+                    ),
+                    (
+                        Box::new(SessionAffinity::default()),
+                        Box::new(Lockstep(SessionAffinity::default())),
+                    ),
+                ];
+                let is_faulted = std::ptr::eq(first, &faulted);
+                for (blind, wrapped) in pairs {
+                    assert!(!blind.reads_load() && wrapped.reads_load());
+                    let name = blind.name();
+                    let (routed_first, lockstep) = (run(blind), run(wrapped));
+                    assert_eq!(
+                        routed_first, lockstep,
+                        "{name}, {replicas} replicas, caching {caching}, faulted {is_faulted}"
+                    );
+                    assert_eq!(
+                        routed_first.completed() + routed_first.rejected(),
+                        arrivals.len()
+                    );
+                    let replica_0 = &routed_first.per_replica[0];
+                    assert_eq!(replica_0.robustness.faults_injected > 0, is_faulted);
+                    assert_eq!(routed_first.prefix().hits > 0, caching);
+                }
+            }
+        }
+    }
 }
 
 /// When one replica's rank dies mid-trace, its live pressure reads 1.0
