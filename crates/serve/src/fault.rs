@@ -301,7 +301,8 @@ pub struct Rejection {
     pub reason: RejectReason,
 }
 
-/// Mutable fault state threaded through the scheduler loop.
+/// Mutable fault state threaded through the scheduler loop. Its times
+/// are on the scheduler's nanosecond clock.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultState {
     /// Ranks in the deployment.
@@ -310,10 +311,10 @@ pub(crate) struct FaultState {
     pub dead: BTreeSet<usize>,
     /// Current communication slowdown (1.0 when links are healthy).
     pub link_factor: f64,
-    /// When the current link degradation expires.
-    pub link_until: f64,
-    /// When the deployment last transitioned from healthy to degraded.
-    pub degraded_since: f64,
+    /// When the current link degradation expires (ns).
+    pub link_until: i64,
+    /// When the deployment last transitioned from healthy to degraded (ns).
+    pub degraded_since: i64,
 }
 
 impl FaultState {
@@ -322,8 +323,8 @@ impl FaultState {
             total_ranks: total_ranks.max(1),
             dead: BTreeSet::new(),
             link_factor: 1.0,
-            link_until: 0.0,
-            degraded_since: 0.0,
+            link_until: 0,
+            degraded_since: 0,
         }
     }
 

@@ -124,18 +124,19 @@ pub struct QueuedRequest {
     pub resume_generated: u64,
     /// How many times this request has been preempted so far.
     pub preemptions: u32,
-    /// When the request was first admitted, if ever (survives preemption).
-    pub first_admitted_s: Option<f64>,
-    /// When the request produced its first token, if ever.
-    pub first_token_s: Option<f64>,
+    /// When the request was first admitted, if ever (survives
+    /// preemption), on the scheduler's nanosecond clock.
+    pub first_admitted_ns: Option<i64>,
+    /// When the request produced its first token, if ever, in ns.
+    pub first_token_ns: Option<i64>,
     /// Fault-driven re-queues so far (0 for fresh requests and plain
     /// preemption victims). Bounded by
     /// [`RetryPolicy::max_retries`](crate::fault::RetryPolicy).
     pub retries: u32,
-    /// Earliest time the request may be re-admitted (retry backoff;
-    /// 0 for anything but a fault victim, so fresh requests are always
-    /// immediately eligible).
-    pub not_before_s: f64,
+    /// Earliest time the request may be re-admitted, in ns (retry
+    /// backoff; 0 for anything but a fault victim, so fresh requests are
+    /// always immediately eligible).
+    pub not_before_ns: i64,
 }
 
 impl QueuedRequest {
@@ -145,10 +146,10 @@ impl QueuedRequest {
             req,
             resume_generated: 0,
             preemptions: 0,
-            first_admitted_s: None,
-            first_token_s: None,
+            first_admitted_ns: None,
+            first_token_ns: None,
             retries: 0,
-            not_before_s: 0.0,
+            not_before_ns: 0,
         }
     }
 
@@ -163,21 +164,23 @@ impl QueuedRequest {
     }
 }
 
-/// A request currently in the decode batch, as seen by policies.
+/// A request currently in the decode batch, as seen by policies. Its
+/// times are on the scheduler's integer clock, in nanoseconds (see
+/// [`to_ns`](crate::scheduler::to_ns)).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunningRequest {
     /// The request itself.
     pub req: Request,
-    /// When this (re-)admission happened.
-    pub admitted_s: f64,
+    /// When this (re-)admission happened, in ns.
+    pub admitted_ns: i64,
     /// Output tokens generated so far (across preemptions).
     pub generated: u64,
     /// How many times this request has been preempted so far.
     pub preemptions: u32,
-    /// When the request was first admitted.
-    pub first_admitted_s: f64,
-    /// When the request produced its first token, if it has.
-    pub first_token_s: Option<f64>,
+    /// When the request was first admitted, in ns.
+    pub first_admitted_ns: i64,
+    /// When the request produced its first token, if it has, in ns.
+    pub first_token_ns: Option<i64>,
     /// Fault-driven re-queues this request has survived so far.
     pub retries: u32,
     /// Per-stage prefill chunks still to run before this request joins the
@@ -188,10 +191,11 @@ pub struct RunningRequest {
     /// distinguish mid-prefill residents ([`RunningRequest::is_prefilling`])
     /// from decode-ready ones when picking victims.
     pub prefill_chunks_left: u32,
-    /// Cost of one of those chunks in seconds, set at admission: the
-    /// fresh prefill's whole cost (degraded-compute slowdown included)
-    /// over the chunk count. 0 under whole-prefill admission.
-    pub prefill_chunk_s: f64,
+    /// The fresh prefill's whole cost in ns (degraded-compute slowdown
+    /// included), set at admission. Each chunk charges an equal share of
+    /// it and the last chunk the remainder too, so the chunks sum to it
+    /// exactly. 0 under whole-prefill admission.
+    pub prefill_ns: i64,
 }
 
 impl RunningRequest {
@@ -665,14 +669,14 @@ mod tests {
         let cand = q(9, 0.0, 32, PriorityClass::Standard);
         let running = [RunningRequest {
             req: Request::new(1, 0.0, 128, 32),
-            admitted_s: 0.0,
+            admitted_ns: 0,
             generated: 0,
             preemptions: 0,
-            first_admitted_s: 0.0,
-            first_token_s: None,
+            first_admitted_ns: 0,
+            first_token_ns: None,
             retries: 0,
             prefill_chunks_left: 0,
-            prefill_chunk_s: 0.0,
+            prefill_ns: 0,
         }];
         // Equal remaining output: no preemption.
         assert_eq!(sjf.victim(&cand, &running, 1.0), None);

@@ -17,9 +17,7 @@
 //! fluent way to wire one up.
 
 use crate::engine::ServingEngine;
-use crate::fault::{
-    FaultEvent, FaultKind, FaultPlan, FaultState, RejectReason, Rejection, RetryPolicy,
-};
+use crate::fault::{FaultKind, FaultPlan, FaultState, RejectReason, Rejection, RetryPolicy};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::kvcache::{pages_for, PrefixRegistry, PrefixStats, PAGE_TOKENS};
 use crate::metrics::{percentile, ClassStats, RobustnessStats};
@@ -358,29 +356,53 @@ pub fn poisson_arrivals(
         .collect()
 }
 
+/// Seconds to whole nanoseconds, rounded to nearest: the one rounding by
+/// which a time or a price in seconds enters the scheduler's integer
+/// clock. Arrivals, fault times, retry delays and engine prices all pass
+/// through it, so equal inputs land on equal nanoseconds. Inputs beyond
+/// the clock's range of about ±292 years saturate, and NaN reads as 0;
+/// the scheduler refuses non-finite arrivals.
+pub fn to_ns(seconds: f64) -> i64 {
+    (seconds * 1e9).round() as i64
+}
+
+/// Nanoseconds back to seconds, for report fields and the `now` handed to
+/// policies.
+fn to_s(ns: i64) -> f64 {
+    ns as f64 / 1e9
+}
+
+/// A nanosecond price scaled by a float factor (compute slowdown, link
+/// factor), rounded back to whole nanoseconds before it reaches the clock.
+fn scale(ns: i64, factor: f64) -> i64 {
+    (ns as f64 * factor).round() as i64
+}
+
 /// KV pages a request reserves from admission to completion: its prompt
 /// plus every output token.
 fn lifetime_pages(req: &Request) -> u64 {
     pages_for(req.prompt_len + req.output_len)
 }
 
-/// Turns a finished in-flight record into a completion at time `now`.
-fn complete(f: &RunningRequest, now: f64) -> Completion {
+/// Turns a finished in-flight record into a completion at time `now` (ns).
+/// Each report field is one nanosecond difference converted to seconds.
+fn complete(f: &RunningRequest, now: i64) -> Completion {
+    let arrival = to_ns(f.req.arrival_s);
     // A finished request always produced at least one token; fall back to
     // the final step time rather than aborting the run if a custom policy
     // ever violates that invariant.
-    let first_token = f.first_token_s.unwrap_or(now);
-    let ttft_s = first_token - f.req.arrival_s;
+    let first_token = f.first_token_ns.unwrap_or(now);
+    let ttft_s = to_s(first_token - arrival);
     Completion {
         id: f.req.id,
         priority: f.req.priority,
-        queue_s: f.first_admitted_s - f.req.arrival_s,
-        latency_s: now - f.req.arrival_s,
+        queue_s: to_s(f.first_admitted_ns - arrival),
+        latency_s: to_s(now - arrival),
         ttft_s,
         preemptions: f.preemptions,
         slo_met: f.req.slo.map(|slo| {
             let decode_budget = slo.tpot_s * f.req.output_len.saturating_sub(1) as f64;
-            ttft_s <= slo.ttft_s && (now - first_token) <= decode_budget
+            ttft_s <= slo.ttft_s && to_s(now - first_token) <= decode_budget
         }),
         output_len: f.req.output_len,
         retries: f.retries,
@@ -433,11 +455,17 @@ pub fn run_policy(
 #[derive(Debug)]
 struct FaultBooks {
     state: FaultState,
+    /// The counters; its seconds fields are filled from the nanosecond
+    /// totals below when the run finishes.
     rob: RobustnessStats,
+    stall_ns: i64,
+    refetch_ns: i64,
+    downtime_ns: i64,
+    recover_ns: i64,
     /// Ids victimized by a failure and not yet re-served or rejected.
     victims_outstanding: FxHashSet<u64>,
-    /// When the oldest still-open recovery window opened.
-    recover_started: Option<f64>,
+    /// When the oldest still-open recovery window opened (ns).
+    recover_started: Option<i64>,
 }
 
 impl FaultBooks {
@@ -445,13 +473,13 @@ impl FaultBooks {
     /// the time-to-recover window closes. Every admission calls this, and
     /// while no victim is outstanding (always, on a clean run) it returns
     /// without hashing the id.
-    fn resolve_victim(&mut self, id: u64, now: f64) {
+    fn resolve_victim(&mut self, id: u64, now: i64) {
         if self.victims_outstanding.is_empty() {
             return;
         }
         if self.victims_outstanding.remove(&id) && self.victims_outstanding.is_empty() {
             if let Some(t0) = self.recover_started.take() {
-                self.rob.time_to_recover_s += now - t0;
+                self.recover_ns += now - t0;
                 self.rob.recoveries += 1;
             }
         }
@@ -468,24 +496,6 @@ enum Phase {
     /// The engine is idle and the policy holds admission: the pass waits
     /// for whatever ends the hold first.
     Hold,
-    /// Part-way through the decode fast-forward in
-    /// [`SchedulerState::skip`].
-    FastForward,
-}
-
-/// A decode fast-forward in progress: the repeated step's cached cost, how
-/// many more rounds it may skip, and how many it has skipped so far (they
-/// are credited to the residents when the skip ends).
-#[derive(Debug, Clone, Copy, Default)]
-struct FastForward {
-    rounds_left: u64,
-    skipped: u64,
-    /// Residents, all decoding.
-    batch: u64,
-    /// A full batch admits nothing, so no arrival ends the skip.
-    batch_full: bool,
-    ms: f64,
-    comm_ms: f64,
 }
 
 /// How one admission pass ended.
@@ -504,16 +514,24 @@ enum Pass {
 /// read its report from [`SchedulerState::finish`]. In between,
 /// [`SchedulerState::step_until`]`(t)` runs the loop as far as it can go
 /// on the promise that no later push arrives before `t`. The state pauses
-/// only where the loop reads arrivals — the admission pull, the idle jump
-/// to the next arrival, the hold's wake-up and the decode fast-forward's
-/// bound — when the answer depends on a push still to come, and resumes
-/// exactly there. A paused fast-forward continues without re-running a
-/// round. So the report never depends on how the arrivals were fed:
+/// only where an admission pass reads arrivals — the admission pull, the
+/// idle jump to the next arrival and the hold's wake-up — when the answer
+/// depends on a push still to come, and resumes exactly there. A decode
+/// fast-forward never pauses: with nothing pushed ahead it stops at the
+/// first round boundary at or after the horizon, and the rounds after it
+/// run in full and skip again. On the integer clock they add exactly what
+/// one longer skip would have. So the report never depends on how the
+/// arrivals were fed:
 /// pushing a whole trace and finishing ([`run_policy_faulted`]), stepping
 /// to every fleet arrival and pushing only this replica's (the lockstep
 /// fleet of [`crate::fleet::FleetRouter`]) and stepping to each of its own
 /// arrivals before pushing it (the fleet's route-first workers) give
 /// bit-identical reports.
+///
+/// Simulated time is kept as signed 64-bit nanoseconds: the clock, the
+/// horizon, arrivals, fault times, backoffs, cached prices and the
+/// robustness totals. Seconds enter through [`to_ns`] and leave once, as
+/// report fields and as the `now` handed to policies.
 ///
 /// See [`run_policy_faulted`] for what one round does.
 #[derive(Debug)]
@@ -521,7 +539,8 @@ pub struct SchedulerState<'a> {
     engine: &'a ServingEngine,
     policy: &'a dyn SchedulePolicy,
     max_batch: usize,
-    events: &'a [FaultEvent],
+    /// The fault plan's events, their times in ns.
+    events: Vec<(i64, FaultKind)>,
     retry: RetryPolicy,
     /// The deployment's KV capacity in tokens.
     capacity: u64,
@@ -550,39 +569,42 @@ pub struct SchedulerState<'a> {
     registry: Option<PrefixRegistry>,
     /// Pushed requests not pulled into `pending` yet, in arrival order.
     arrivals: VecDeque<Request>,
+    /// The arrival time of `arrivals`' front in ns, converted once when it
+    /// becomes the front; `i64::MAX` while `arrivals` is empty.
+    next_arrival: i64,
     /// Ids of every pushed request, for the debug-build exactly-once check.
     #[cfg(debug_assertions)]
     pushed: Vec<u64>,
-    /// No push still to come arrives before this time; `INFINITY` once the
-    /// run is finishing and no push will come at all.
-    horizon: f64,
+    /// No push still to come arrives before this time (ns); `i64::MAX`
+    /// once the run is finishing and no push will come at all.
+    horizon: i64,
     /// Arrived requests waiting for admission, in arrival order.
     pending: Vec<QueuedRequest>,
     running: Vec<RunningRequest>,
+    /// Indices into `running` of the residents the current round retires.
+    retired: Vec<usize>,
     completions: Vec<Completion>,
     rejections: Vec<Rejection>,
-    now: f64,
+    /// The clock, in ns.
+    now: i64,
     peak_batch: usize,
     output_tokens: u64,
     preemptions: u64,
-    comm_s: f64,
-    /// Step times cached per (step-shape key, context bucket): (total ms,
-    /// comm ms). The key is `engine.step_cache_key(batch)` — the raw batch
+    comm_ns: i64,
+    /// Step times cached per (step-shape key, context bucket): (total ns,
+    /// comm ns). The key is `engine.step_cache_key(batch)` — the raw batch
     /// on single-stage engines, the micro-batch shape on pipelined ones,
     /// where distinct batches collapse onto identical step costs (keying
     /// on the raw batch defeated the cache there: every batch size was a
     /// fresh miss pricing a shape already priced). The cached pair is
     /// fault-independent — degradation scales it *after* the lookup — so
     /// the key needs no fault epoch.
-    step_cache: FxHashMap<(u64, u64), (f64, f64)>,
+    step_cache: FxHashMap<(u64, u64), (i64, i64)>,
     cache_stats: StepCacheStats,
     /// Last clock reading, for the debug-build monotonicity check.
     #[cfg(debug_assertions)]
-    last_now: f64,
+    last_now: i64,
     phase: Phase,
-    /// The skip a [`Phase::FastForward`] pause resumes. It lives outside
-    /// the fieldless `phase`, which the loop reads and writes every turn.
-    skip: FastForward,
 }
 
 impl<'a> SchedulerState<'a> {
@@ -611,7 +633,11 @@ impl<'a> SchedulerState<'a> {
             engine,
             policy,
             max_batch,
-            events: plan.events(),
+            events: plan
+                .events()
+                .iter()
+                .map(|e| (to_ns(e.at_s), e.kind))
+                .collect(),
             retry: *retry,
             capacity,
             rank_budgets,
@@ -620,6 +646,10 @@ impl<'a> SchedulerState<'a> {
             books: FaultBooks {
                 state: FaultState::new(engine.cluster().total_ranks()),
                 rob: RobustnessStats::default(),
+                stall_ns: 0,
+                refetch_ns: 0,
+                downtime_ns: 0,
+                recover_ns: 0,
                 victims_outstanding: FxHashSet::default(),
                 recover_started: None,
             },
@@ -630,61 +660,71 @@ impl<'a> SchedulerState<'a> {
             },
             registry,
             arrivals: VecDeque::new(),
+            next_arrival: i64::MAX,
             #[cfg(debug_assertions)]
             pushed: Vec::new(),
-            horizon: f64::NEG_INFINITY,
+            horizon: i64::MIN,
             pending: Vec::new(),
             running: Vec::new(),
+            retired: Vec::new(),
             completions: Vec::new(),
             rejections: Vec::new(),
-            now: 0.0,
+            now: 0,
             peak_batch: 0,
             output_tokens: 0,
             preemptions: 0,
-            comm_s: 0.0,
+            comm_ns: 0,
             step_cache: FxHashMap::default(),
             cache_stats: StepCacheStats::default(),
             #[cfg(debug_assertions)]
-            last_now: 0.0,
+            last_now: 0,
             phase: Phase::Round,
-            skip: FastForward::default(),
         }
     }
 
-    /// Hands the scheduler its next arrival.
+    /// Hands the scheduler its next arrival. The arrival time is in
+    /// seconds and enters the clock rounded to ns by [`to_ns`], the
+    /// rounding [`SchedulerState::step_until`] applies too, so a push at a
+    /// time just stepped to is in order.
     ///
     /// # Panics
     ///
     /// Panics unless pushes come in arrival order, none earlier than the
-    /// last [`SchedulerState::step_until`] time, with finite times.
+    /// last [`SchedulerState::step_until`] time (both compared in ns),
+    /// with finite times.
     pub fn push(&mut self, req: Request) {
+        let at = to_ns(req.arrival_s);
         let earliest = self
             .arrivals
             .back()
-            .map_or(self.horizon, |r| r.arrival_s.max(self.horizon));
+            .map_or(self.horizon, |r| to_ns(r.arrival_s).max(self.horizon));
         assert!(
-            req.arrival_s >= earliest && req.arrival_s.is_finite(),
-            "push out of arrival order: {} after {earliest}",
+            at >= earliest && req.arrival_s.is_finite(),
+            "push out of arrival order: {} s after {earliest} ns",
             req.arrival_s
         );
         #[cfg(debug_assertions)]
         self.pushed.push(req.id);
+        if self.arrivals.is_empty() {
+            self.next_arrival = at;
+        }
         self.arrivals.push_back(req);
     }
 
     /// Runs the loop as far as it can go on the promise that no later push
-    /// arrives before `t`. The clock may end past `t` (a prefill or stall
-    /// spans it) or before it (the engine idles, or waits for arrivals
-    /// that may come at `t`).
+    /// arrives before `t` seconds, which [`to_ns`] rounds to the clock's
+    /// nanoseconds. The clock may end past `t` (a prefill, stall or decode
+    /// step spans it) or before it (the engine idles, or waits for
+    /// arrivals that may come at `t`).
     pub fn step_until(&mut self, t: f64) {
-        self.horizon = self.horizon.max(t);
+        self.horizon = self.horizon.max(to_ns(t));
         self.advance();
     }
 
     /// Runs every pushed request to completion (or a typed rejection) and
     /// returns the run's report.
     pub fn finish(mut self) -> ScheduleReport {
-        self.horizon = f64::INFINITY;
+        self.horizon = i64::MAX;
         self.advance();
 
         #[cfg(debug_assertions)]
@@ -708,24 +748,31 @@ impl<'a> SchedulerState<'a> {
 
         // Close the books: a run can end while degraded or with a recovery
         // window still open (every victim rejected late in the run).
-        let mut rob = self.books.rob;
-        if !self.books.state.dead.is_empty() {
-            rob.downtime_s += self.now - self.books.state.degraded_since;
+        let books = &self.books;
+        let mut rob = books.rob;
+        let mut downtime_ns = books.downtime_ns;
+        if !books.state.dead.is_empty() {
+            downtime_ns += self.now - books.state.degraded_since;
         }
-        if let Some(t0) = self.books.recover_started {
-            rob.time_to_recover_s += self.now - t0;
+        let mut recover_ns = books.recover_ns;
+        if let Some(t0) = books.recover_started {
+            recover_ns += self.now - t0;
             rob.recoveries += 1;
         }
-        let now = self.now;
+        rob.stall_s = to_s(books.stall_ns);
+        rob.refetch_s = to_s(books.refetch_ns);
+        rob.downtime_s = to_s(downtime_ns);
+        rob.time_to_recover_s = to_s(recover_ns);
+        let duration_s = to_s(self.now);
         ScheduleReport {
-            duration_s: now,
-            throughput_tps: if now > 0.0 {
-                self.output_tokens as f64 / now
+            duration_s,
+            throughput_tps: if self.now > 0 {
+                self.output_tokens as f64 / duration_s
             } else {
                 0.0
             },
             peak_batch: self.peak_batch,
-            comm_s: self.comm_s,
+            comm_s: to_s(self.comm_ns),
             preemptions: self.preemptions,
             rejected: self.rejections.iter().map(|r| r.id).collect(),
             rejections: self.rejections,
@@ -801,20 +848,8 @@ impl<'a> SchedulerState<'a> {
                             }
                         }
                     }
-                    let ff = self.decode_round();
+                    self.decode_round();
                     self.assert_kv_books();
-                    match ff {
-                        Some(ff) => {
-                            self.skip = ff;
-                            Phase::FastForward
-                        }
-                        None => Phase::Round,
-                    }
-                }
-                Phase::FastForward => {
-                    if self.fast_forward() {
-                        return;
-                    }
                     Phase::Round
                 }
             };
@@ -862,29 +897,35 @@ impl<'a> SchedulerState<'a> {
     /// not fit may evict policy-chosen victims.
     fn admit_pass(&mut self) -> Pass {
         if self.pending.is_empty() {
-            match self.arrivals.front() {
-                None if self.horizon == f64::INFINITY => return Pass::Over,
+            if self.arrivals.is_empty() {
                 // Whether anything else arrives matters only to an idle
                 // engine, which would jump to it, or once the clock has
                 // reached the horizon, when it may have arrived by now.
-                None if !self.running.is_empty() && self.now < self.horizon => return Pass::Over,
-                None => return Pass::Pause(Phase::Admit),
-                Some(next) if self.running.is_empty() && next.arrival_s > self.now => {
-                    // Idle: jump to the next arrival.
-                    self.now = next.arrival_s;
-                    self.faults_due();
-                }
-                Some(_) => {}
+                return if self.horizon == i64::MAX
+                    || !self.running.is_empty() && self.now < self.horizon
+                {
+                    Pass::Over
+                } else {
+                    Pass::Pause(Phase::Admit)
+                };
+            }
+            if self.running.is_empty() && self.next_arrival > self.now {
+                // Idle: jump to the next arrival.
+                self.now = self.next_arrival;
+                self.faults_due();
             }
         }
         // Every queued request arrived before any unpulled one, so
         // appending keeps `pending` in arrival order.
-        while let Some(next) = self.arrivals.front() {
-            if next.arrival_s > self.now {
+        while self.next_arrival <= self.now {
+            let Some(req) = self.arrivals.pop_front() else {
                 break;
-            }
-            self.pending.push(QueuedRequest::fresh(*next));
-            self.arrivals.pop_front();
+            };
+            self.pending.push(QueuedRequest::fresh(req));
+            self.next_arrival = self
+                .arrivals
+                .front()
+                .map_or(i64::MAX, |r| to_ns(r.arrival_s));
         }
         if self.arrivals.is_empty() && self.now >= self.horizon {
             // A push still to come may have arrived by now.
@@ -908,25 +949,24 @@ impl<'a> SchedulerState<'a> {
             return Pass::Over;
         }
         // Backoff gating: fault victims waiting out their backoff are
-        // invisible to the policy until `not_before_s`. While every queued
+        // invisible to the policy until `not_before_ns`. While every queued
         // request is eligible (always while no victim is outstanding: only
-        // a victim's `not_before_s` is nonzero) the view is the plain
+        // a victim's `not_before_ns` is nonzero) the view is the plain
         // arrived queue.
+        let now_s = to_s(self.now);
         let picked = if self.books.victims_outstanding.is_empty()
-            || self.pending.iter().all(|p| p.not_before_s <= self.now)
+            || self.pending.iter().all(|p| p.not_before_ns <= self.now)
         {
-            self.policy.select(&self.pending, &self.running, self.now)
+            self.policy.select(&self.pending, &self.running, now_s)
         } else {
             let eligible: Vec<usize> = (0..self.pending.len())
-                .filter(|&i| self.pending[i].not_before_s <= self.now)
+                .filter(|&i| self.pending[i].not_before_ns <= self.now)
                 .collect();
             let view: Vec<QueuedRequest> = eligible.iter().map(|&i| self.pending[i]).collect();
-            self.policy
-                .select(&view, &self.running, self.now)
-                .map(|vi| {
-                    assert!(vi < view.len(), "policy selected an unarrived request");
-                    eligible[vi]
-                })
+            self.policy.select(&view, &self.running, now_s).map(|vi| {
+                assert!(vi < view.len(), "policy selected an unarrived request");
+                eligible[vi]
+            })
         };
         let Some(pick) = picked else {
             return if self.running.is_empty() {
@@ -977,7 +1017,7 @@ impl<'a> SchedulerState<'a> {
         let mut cand_idx = pick;
         let mut evictions_left = self.running.len();
         while self.reserved_pages + need > cap_now && evictions_left > 0 {
-            let Some(vi) = self.policy.victim(&cand, &self.running, self.now) else {
+            let Some(vi) = self.policy.victim(&cand, &self.running, to_s(self.now)) else {
                 break;
             };
             if self.running[vi].preemptions >= MAX_PREEMPTIONS {
@@ -994,21 +1034,18 @@ impl<'a> SchedulerState<'a> {
             // resume, understating the eviction-side stall; pinned by
             // `pageout_is_charged_at_both_ends`.)
             if self.policy.preemption_mode() == PreemptionMode::PageOut {
-                self.now += self.engine.kv_swap_s(victim.kv_tokens());
+                self.now += to_ns(self.engine.kv_swap_s(victim.kv_tokens()));
             }
             let back = QueuedRequest {
                 req: victim.req,
                 resume_generated: victim.generated,
                 preemptions: victim.preemptions + 1,
-                first_admitted_s: Some(victim.first_admitted_s),
-                first_token_s: victim.first_token_s,
+                first_admitted_ns: Some(victim.first_admitted_ns),
+                first_token_ns: victim.first_token_ns,
                 retries: victim.retries,
-                not_before_s: 0.0,
+                not_before_ns: 0,
             };
-            let pos = self
-                .pending
-                .partition_point(|p| p.req.arrival_s <= back.req.arrival_s);
-            self.pending.insert(pos, back);
+            let pos = self.requeue(back);
             if pos <= cand_idx {
                 cand_idx += 1;
             }
@@ -1034,8 +1071,8 @@ impl<'a> SchedulerState<'a> {
                 !self.books.state.dead.is_empty(),
                 "lone candidate refused with every rank alive"
             );
-            if let Some(ev) = self.events.get(self.next_event) {
-                self.now = self.now.max(ev.at_s);
+            if let Some(&(at, _)) = self.events.get(self.next_event) {
+                self.now = self.now.max(at);
                 self.faults_due();
             } else {
                 self.reject(cand.req.id, RejectReason::CapacityLost);
@@ -1048,6 +1085,18 @@ impl<'a> SchedulerState<'a> {
         // rejected above), so this hold always ends as completions or
         // further preemptions free KV.
         Pass::Over
+    }
+
+    /// Re-inserts a preemption or fault victim into `pending` by arrival,
+    /// after every request that arrived in the same nanosecond or before,
+    /// and returns its index.
+    fn requeue(&mut self, back: QueuedRequest) -> usize {
+        let at = to_ns(back.req.arrival_s);
+        let pos = self
+            .pending
+            .partition_point(|p| to_ns(p.req.arrival_s) <= at);
+        self.pending.insert(pos, back);
+        pos
     }
 
     /// Rejects a queued request, releasing its prefix-cache pin.
@@ -1083,44 +1132,45 @@ impl<'a> SchedulerState<'a> {
             }
         }
         let engine = self.engine;
+        let prefill = |tokens: u64| to_ns(engine.prefill_ms(1, tokens) / 1e3);
         let mut cost = if q.retries > 0 {
             self.books.rob.recomputed_tokens += q.kv_tokens_on_admit();
-            engine.prefill_ms(1, q.kv_tokens_on_admit()) / 1e3
+            prefill(q.kv_tokens_on_admit())
         } else if q.resume_generated == 0 {
-            engine.prefill_ms(1, q.req.prompt_len.saturating_sub(prefix_saved).max(1)) / 1e3
+            prefill(q.req.prompt_len.saturating_sub(prefix_saved).max(1))
         } else {
             match self.policy.preemption_mode() {
-                PreemptionMode::Recompute => engine.prefill_ms(1, q.kv_tokens_on_admit()) / 1e3,
+                PreemptionMode::Recompute => prefill(q.kv_tokens_on_admit()),
                 // Page-in only: the outbound transfer was charged when this
                 // request was evicted.
-                PreemptionMode::PageOut => engine.kv_swap_s(q.kv_tokens_on_admit()),
+                PreemptionMode::PageOut => to_ns(engine.kv_swap_s(q.kv_tokens_on_admit())),
             }
         };
         if !self.books.state.dead.is_empty() {
-            cost *= self.books.state.compute_slowdown();
+            cost = scale(cost, self.books.state.compute_slowdown());
         }
         // Streaming mode defers a *fresh* prefill: instead of charging the
         // whole cost serially at admission, the request enters the batch
-        // still prefilling and pays `cost / n_chunks` per chunk as chunks
-        // ride the pipeline's micro-batch slots between decode steps.
-        // Resumes (page-in, recompute) stay serial — they rebuild KV, they
-        // don't stream the prompt through the stages.
-        let (chunks_left, chunk_s) = if self.prefill_chunks > 0 && q.resume_generated == 0 {
-            (self.prefill_chunks, cost / f64::from(self.prefill_chunks))
+        // still prefilling and pays its cost chunk by chunk as chunks ride
+        // the pipeline's micro-batch slots between decode steps. Resumes
+        // (page-in, recompute) stay serial — they rebuild KV, they don't
+        // stream the prompt through the stages.
+        let (chunks_left, prefill_ns) = if self.prefill_chunks > 0 && q.resume_generated == 0 {
+            (self.prefill_chunks, cost)
         } else {
             self.now += cost;
-            (0, 0.0)
+            (0, 0)
         };
         self.running.push(RunningRequest {
             req: q.req,
-            admitted_s: self.now,
+            admitted_ns: self.now,
             generated: q.resume_generated,
             preemptions: q.preemptions,
-            first_admitted_s: q.first_admitted_s.unwrap_or(self.now),
-            first_token_s: q.first_token_s,
+            first_admitted_ns: q.first_admitted_ns.unwrap_or(self.now),
+            first_token_ns: q.first_token_ns,
             retries: q.retries,
             prefill_chunks_left: chunks_left,
-            prefill_chunk_s: chunk_s,
+            prefill_ns,
         });
     }
 
@@ -1129,24 +1179,20 @@ impl<'a> SchedulerState<'a> {
     /// the hold first — the next arrival, the earliest backoff expiry, or
     /// the next fault event (a repair can end a brownout).
     fn hold(&mut self) -> Pass {
-        let mut wake = self.arrivals.front().map(|r| r.arrival_s);
+        let arrival = (!self.arrivals.is_empty()).then_some(self.next_arrival);
         let backoff = self
             .pending
             .iter()
-            .map(|p| p.not_before_s)
+            .map(|p| p.not_before_ns)
             .filter(|&t| t > self.now)
-            .fold(f64::INFINITY, f64::min);
-        if backoff.is_finite() {
-            wake = Some(wake.map_or(backoff, |w| w.min(backoff)));
-        }
-        if let Some(ev) = self.events.get(self.next_event) {
-            wake = Some(wake.map_or(ev.at_s, |w| w.min(ev.at_s)));
-        }
+            .min();
+        let event = self.events.get(self.next_event).map(|&(at, _)| at);
+        let wake = [arrival, backoff, event].into_iter().flatten().min();
         // With nothing pushed ahead, a push still to come (at or after the
         // horizon) may end the hold first.
-        if self.horizon < f64::INFINITY
+        if self.horizon < i64::MAX
             && self.arrivals.is_empty()
-            && !wake.is_some_and(|t| t <= self.horizon)
+            && wake.is_none_or(|t| t > self.horizon)
         {
             return Pass::Pause(Phase::Hold);
         }
@@ -1167,12 +1213,11 @@ impl<'a> SchedulerState<'a> {
     }
 
     /// The rest of a round after admission: prefill chunks, one decode
-    /// step and retirement. Returns the fast-forward the round opens, if
-    /// any.
-    fn decode_round(&mut self) -> Option<FastForward> {
+    /// step and retirement, then the fast-forward the round opens, if any.
+    fn decode_round(&mut self) {
         self.peak_batch = self.peak_batch.max(self.running.len());
         if self.running.is_empty() {
-            return None;
+            return;
         }
 
         // Chunked prefill: between decode steps, up to `micro_batches`
@@ -1182,6 +1227,7 @@ impl<'a> SchedulerState<'a> {
         // overtake a long batch prompt mid-prefill instead of queueing
         // behind its whole prefill.
         if self.prefill_chunks > 0 {
+            let chunks = i64::from(self.prefill_chunks);
             for _ in 0..self.engine.micro_batches().max(1) {
                 let Some(next) = self
                     .running
@@ -1204,7 +1250,14 @@ impl<'a> SchedulerState<'a> {
                     break;
                 };
                 next.prefill_chunks_left -= 1;
-                self.now += next.prefill_chunk_s;
+                // Equal shares, the remainder on the last chunk: the chunks
+                // sum to the whole prefill exactly.
+                let share = next.prefill_ns / chunks;
+                self.now += if next.prefill_chunks_left == 0 {
+                    share + next.prefill_ns % chunks
+                } else {
+                    share
+                };
             }
         }
 
@@ -1222,27 +1275,28 @@ impl<'a> SchedulerState<'a> {
         if batch == 0 {
             // Whole batch still prefilling: chunks advanced time above, so
             // the loop makes progress without a decode step.
-            return None;
+            return;
         }
         let mean_context = context / batch;
         let bucket = (mean_context / 256).max(1) * 256;
         let key = (self.engine.step_cache_key(batch), bucket);
-        let (ms, comm_ms) = match self.step_cache.get(&key) {
+        let (step, comm) = match self.step_cache.get(&key) {
             Some(&priced) => {
                 self.cache_stats.hits += 1;
                 priced
             }
             None => {
                 self.cache_stats.misses += 1;
-                let priced = self.engine.step_cost_priced(key, batch, bucket);
+                let (ms, comm_ms) = self.engine.step_cost_priced(key, batch, bucket);
+                let priced = (to_ns(ms / 1e3), to_ns(comm_ms / 1e3));
                 self.step_cache.insert(key, priced);
                 priced
             }
         };
         let fault_clean = self.books.state.is_clean();
         if fault_clean {
-            self.now += ms / 1e3;
-            self.comm_s += comm_ms / 1e3;
+            self.now += step;
+            self.comm_ns += comm;
         } else {
             // Survivors absorb the dead ranks' compute; the communication
             // share stretches by the degraded-link factor.
@@ -1252,46 +1306,46 @@ impl<'a> SchedulerState<'a> {
             } else {
                 state.compute_slowdown()
             };
-            let eff_ms = (ms - comm_ms) * slow + comm_ms * state.link_factor;
-            self.now += eff_ms / 1e3;
-            self.comm_s += comm_ms * state.link_factor / 1e3;
+            let link_comm = scale(comm, state.link_factor);
+            self.now += scale(step - comm, slow) + link_comm;
+            self.comm_ns += link_comm;
         }
         self.output_tokens += batch;
 
         // Advance and retire in one pass, in batch order: each decode-ready
         // resident gains a token (stamping its first), and a finished one
-        // leaves the batch, returning its pages and prefix fork and
-        // recording its completion. The pass also notes what the
-        // fast-forward reads: whether anyone is still prefilling, and the
-        // fewest tokens any remaining resident has left.
+        // returns its pages and prefix fork and records its completion. The
+        // pass also notes what the fast-forward reads: whether anyone is
+        // still prefilling, and the fewest tokens any remaining resident
+        // has left. The finished residents leave the batch afterwards,
+        // highest index first, one memmove each.
         let now = self.now;
-        let (registry, completions, reserved) = (
-            &mut self.registry,
-            &mut self.completions,
-            &mut self.reserved_pages,
-        );
         let (mut prefilling, mut to_first_completion) = (false, u64::MAX);
-        self.running.retain_mut(|f| {
+        self.retired.clear();
+        for (i, f) in self.running.iter_mut().enumerate() {
             if f.is_prefilling() {
                 prefilling = true;
-                return true;
+                continue;
             }
             f.generated += 1;
-            if f.first_token_s.is_none() {
-                f.first_token_s = Some(now);
+            if f.first_token_ns.is_none() {
+                f.first_token_ns = Some(now);
             }
             let left = f.remaining_output();
             if left > 0 {
                 to_first_completion = to_first_completion.min(left);
-                return true;
+                continue;
             }
-            *reserved -= lifetime_pages(&f.req);
-            if let Some(reg) = registry.as_mut() {
+            self.reserved_pages -= lifetime_pages(&f.req);
+            if let Some(reg) = self.registry.as_mut() {
                 reg.release(f.req.id);
             }
-            completions.push(complete(f, now));
-            false
-        });
+            self.completions.push(complete(f, now));
+            self.retired.push(i);
+        }
+        for &i in self.retired.iter().rev() {
+            self.running.remove(i);
+        }
 
         // Decode fast-forward. While the batch is unchanged (nobody
         // finished or is prefilling) and the fault state is clean, the next
@@ -1302,70 +1356,64 @@ impl<'a> SchedulerState<'a> {
         // rising one per round, stays in this bucket. A full batch admits
         // nothing, whatever has arrived.
         let batch_full = self.running.len() >= self.max_batch;
-        if self.running.len() as u64 != batch
+        if !self.retired.is_empty()
             || prefilling
             || !fault_clean
             || !(batch_full || self.pending.is_empty())
         {
-            return None;
+            return;
         }
         let rounds_left = to_first_completion
             .saturating_sub(1)
             .min(bucket + 255 - mean_context);
-        (rounds_left > 0).then_some(FastForward {
-            rounds_left,
-            skipped: 0,
-            batch,
-            batch_full,
-            ms,
-            comm_ms,
-        })
+        self.fast_forward(rounds_left, batch, batch_full, step, comm);
     }
 
-    /// Skips rounds that would only repeat the last decode step: adds the
-    /// cached step cost to the clock and the comm total one round at a
-    /// time (the same float additions in the same order), stopping at an
-    /// arrival or fault event, then credits each resident with the skipped
-    /// tokens. Skipped rounds call no policy method and count as step-cache
-    /// hits. Runs the skip in [`SchedulerState::skip`] and returns whether
-    /// it paused at the horizon, with the rest of the skip left there;
-    /// nothing reads the residents' token counts before it resumes, so the
-    /// credit waits until the skip ends.
-    fn fast_forward(&mut self) -> bool {
-        let ff = &mut self.skip;
-        // With nothing pushed ahead, a push still to come may arrive at the
-        // horizon.
-        let arrival_at = match self.arrivals.front() {
-            _ if ff.batch_full => f64::INFINITY,
-            Some(next) => next.arrival_s,
-            None => self.horizon,
+    /// Skips up to `rounds_left` rounds that would only repeat the decode
+    /// step of `step` ns (`comm` of it communication) for all `batch`
+    /// residents, in one multiplication: the rounds skipped are the whole
+    /// steps that start before the next arrival (the horizon, with nothing
+    /// pushed ahead; none, for a full batch) or fault event, so the clock
+    /// stops at the first round boundary at or after it. Each resident is
+    /// credited the skipped tokens. Skipped rounds call no policy method
+    /// and count as step-cache hits. A skip cut at the horizon leaves the
+    /// rest to the rounds after it: the next round runs in full and opens
+    /// a fast-forward of its own.
+    fn fast_forward(
+        &mut self,
+        rounds_left: u64,
+        batch: u64,
+        batch_full: bool,
+        step: i64,
+        comm: i64,
+    ) {
+        let arrival_at = if batch_full {
+            i64::MAX
+        } else if self.arrivals.is_empty() {
+            self.horizon
+        } else {
+            self.next_arrival
         };
         let event_at = self
             .events
             .get(self.next_event)
-            .map_or(f64::INFINITY, |e| e.at_s);
-        let (mut now, mut comm_s, mut rounds) = (self.now, self.comm_s, 0u64);
-        while rounds < ff.rounds_left && arrival_at > now && event_at > now {
-            now += ff.ms / 1e3;
-            comm_s += ff.comm_ms / 1e3;
-            rounds += 1;
-        }
-        ff.rounds_left -= rounds;
-        ff.skipped += rounds;
-        let at_horizon = !ff.batch_full && self.arrivals.is_empty() && self.horizon < f64::INFINITY;
-        let paused = ff.rounds_left > 0 && event_at > now && at_horizon;
-        let (skipped, batch) = (ff.skipped, ff.batch);
-        (self.now, self.comm_s) = (now, comm_s);
+            .map_or(i64::MAX, |&(at, _)| at);
+        let bound = arrival_at.min(event_at);
+        let rounds = if step == 0 {
+            rounds_left
+        } else if bound <= self.now {
+            0
+        } else {
+            rounds_left.min(bound.abs_diff(self.now).div_ceil(step.unsigned_abs()))
+        };
+        self.now += rounds as i64 * step;
+        self.comm_ns += rounds as i64 * comm;
         self.assert_clock_monotone();
-        if paused {
-            return true;
-        }
         for f in self.running.iter_mut() {
-            f.generated += skipped;
+            f.generated += rounds;
         }
-        self.output_tokens += skipped * batch;
-        self.cache_stats.hits += skipped;
-        false
+        self.output_tokens += rounds * batch;
+        self.cache_stats.hits += rounds;
     }
 
     /// Applies every fault event due at or before `now` (plus link-window
@@ -1378,38 +1426,40 @@ impl<'a> SchedulerState<'a> {
         if state.link_factor != 1.0 && self.now >= state.link_until {
             state.link_factor = 1.0;
         }
-        while let Some(&ev) = self.events.get(self.next_event) {
-            if ev.at_s > self.now {
+        while let Some(&(at, kind)) = self.events.get(self.next_event) {
+            if at > self.now {
                 break;
             }
             self.next_event += 1;
             let books = &mut self.books;
             books.rob.faults_injected += 1;
-            match ev.kind {
+            match kind {
                 FaultKind::RankFail { rank } => self.rank_fail(rank),
                 FaultKind::RankRepair { rank } => {
                     let rank = rank % books.state.total_ranks;
                     if books.state.dead.remove(&rank) && books.state.dead.is_empty() {
-                        books.rob.downtime_s += self.now - books.state.degraded_since;
+                        books.downtime_ns += self.now - books.state.degraded_since;
                     }
                 }
                 FaultKind::LinkDegrade { factor, duration_s } => {
                     books.state.link_factor = factor;
-                    books.state.link_until = self.now + duration_s;
+                    // A window past the clock's range never ends.
+                    books.state.link_until = self.now.saturating_add(to_ns(duration_s));
                     books.rob.link_degrades += 1;
                 }
                 FaultKind::KvStall { stall_s } => {
-                    self.now += stall_s;
-                    books.rob.stall_s += stall_s;
+                    let stall = to_ns(stall_s);
+                    self.now += stall;
+                    books.stall_ns += stall;
                 }
                 FaultKind::CorruptFrame { frames } => {
                     // The entropy codecs' checksums surface corruption as a
                     // typed error before garbage reaches the ZipGEMM path;
                     // the recovery cost is one PCIe re-fetch per frame.
-                    let penalty = frames as f64 * self.engine.frame_refetch_s();
+                    let penalty = to_ns(f64::from(frames) * self.engine.frame_refetch_s());
                     self.now += penalty;
-                    books.rob.frame_corruptions += frames as u64;
-                    books.rob.refetch_s += penalty;
+                    books.rob.frame_corruptions += u64::from(frames);
+                    books.refetch_ns += penalty;
                 }
             }
         }
@@ -1443,19 +1493,15 @@ impl<'a> SchedulerState<'a> {
             }
             self.books.rob.retries += 1;
             self.books.victims_outstanding.insert(victim.req.id);
-            let back = QueuedRequest {
+            self.requeue(QueuedRequest {
                 req: victim.req,
                 resume_generated: victim.generated,
                 preemptions: victim.preemptions,
-                first_admitted_s: Some(victim.first_admitted_s),
-                first_token_s: victim.first_token_s,
+                first_admitted_ns: Some(victim.first_admitted_ns),
+                first_token_ns: victim.first_token_ns,
                 retries,
-                not_before_s: self.now + self.retry.delay_s(retries),
-            };
-            let pos = self
-                .pending
-                .partition_point(|p| p.req.arrival_s <= back.req.arrival_s);
-            self.pending.insert(pos, back);
+                not_before_ns: self.now.saturating_add(to_ns(self.retry.delay_s(retries))),
+            });
         }
         let books = &mut self.books;
         if !books.victims_outstanding.is_empty() && books.recover_started.is_none() {
@@ -1495,16 +1541,19 @@ impl<'a> SchedulerState<'a> {
 ///   policy sees is exactly the arrived prefix of a whole-trace queue,
 ///   and an admission costs O(queue) instead of O(trace).
 /// * **Decode fast-forward** — after a round retires, the rounds that
-///   would do nothing but repeat its decode step run in a tight loop that
-///   adds the cached step cost to the clock and the comm total, one round
-///   at a time (the same float additions in the same order), then credits
-///   each resident with the skipped tokens. A round qualifies when no
-///   resident is prefilling, admission is a no-op (nothing has arrived,
-///   or the batch is at `max_batch`), the fault state is clean with no
-///   event due, and the context bucket is unchanged — the integer mean
-///   context rises by exactly one per round. The loop stops one round
-///   before the first resident finishes, so that round runs in full.
-///   Skipped rounds call no policy method and count as step-cache hits.
+///   would do nothing but repeat its decode step are skipped in one
+///   multiplication on the integer clock: `rounds × step` ns are added to
+///   the clock and `rounds × comm` to the comm total, and each resident is
+///   credited the skipped tokens. A round qualifies when no resident is
+///   prefilling, admission is a no-op (nothing has arrived, or the batch
+///   is at `max_batch`), the fault state is clean with no event due, and
+///   the context bucket is unchanged — the integer mean context rises by
+///   exactly one per round. So the skip takes the rounds left before the
+///   first resident finishes (that round runs in full) or the bucket
+///   changes, capped by `ceil((bound − now) / step)`, where the bound is
+///   the next arrival or fault event: the clock stops at the first round
+///   boundary at or after it. Skipped rounds call no policy method and
+///   count as step-cache hits.
 ///
 /// A request whose KV demand exceeds the deployment's capacity even as the
 /// sole occupant is rejected as [`RejectReason::Oversized`] rather than
@@ -1544,6 +1593,15 @@ impl<'a> SchedulerState<'a> {
 /// round the reserved pages are the residents' lifetime pages and fit the
 /// current capacity; at the end none are reserved, and the prefix cache
 /// holds no fork.
+///
+/// Time runs on the scheduler's integer nanosecond clock: arrival times,
+/// fault times and retry delays enter through [`to_ns`], and the report's
+/// seconds are nanosecond totals converted once.
+///
+/// # Panics
+///
+/// Panics if an arrival time is not finite, as [`SchedulerState::push`]
+/// does: the trace moves into the scheduler without pushes.
 pub fn run_policy_faulted(
     engine: &ServingEngine,
     policy: &dyn SchedulePolicy,
@@ -1552,6 +1610,10 @@ pub fn run_policy_faulted(
     plan: &FaultPlan,
     retry: &RetryPolicy,
 ) -> ScheduleReport {
+    assert!(
+        arrivals.iter().all(|r| r.arrival_s.is_finite()),
+        "arrival times must be finite"
+    );
     // A stable sort allocates scratch for the whole trace even when, as
     // usual, it is sorted already.
     if !arrivals.is_sorted_by(|a, b| a.arrival_s <= b.arrival_s) {
@@ -1561,6 +1623,7 @@ pub fn run_policy_faulted(
     // Push the sorted trace in one move.
     #[cfg(debug_assertions)]
     state.pushed.extend(arrivals.iter().map(|r| r.id));
+    state.next_arrival = arrivals.first().map_or(i64::MAX, |r| to_ns(r.arrival_s));
     state.arrivals = arrivals.into();
     state.finish()
 }
@@ -1731,7 +1794,8 @@ mod tests {
         let clean = run_policy(&zip, &HoldAll, 8, reversed.clone());
         assert!(clean.completions.is_empty());
         assert_eq!(clean.rejections, expected);
-        assert_eq!(clean.duration_s, last_arrival);
+        // The run ends at the last arrival, on the nanosecond clock.
+        assert_eq!(clean.duration_s, to_s(to_ns(last_arrival)));
 
         // A fault event mid-trace is one more wake-up, not a resolution.
         let plan = FaultPlan::new().kv_stall(0.5 * last_arrival, 0.25);
@@ -1801,21 +1865,26 @@ mod tests {
     }
 
     /// Feeds `trace` the way a lockstep fleet does: before each group of
-    /// `group` arrivals the state steps to a point between arrivals, then
-    /// (twice) to the group's first arrival, and only then gets the pushes.
+    /// `group` arrivals the state steps to `between` evenly spaced points
+    /// after the previous group's last arrival, then (twice) to the group's
+    /// first arrival, and only then gets the pushes. Each step can cut a
+    /// decode fast-forward short.
     fn lockstep(
         engine: &ServingEngine,
         policy: &dyn SchedulePolicy,
         plan: &FaultPlan,
         trace: &[Request],
         group: usize,
+        between: u32,
     ) -> ScheduleReport {
         let retry = RetryPolicy::default();
         let mut state = SchedulerState::new(engine, policy, 8, plan, &retry);
         let mut prev = 0.0;
         for chunk in trace.chunks(group) {
             let t = chunk[0].arrival_s;
-            state.step_until(0.5 * (prev + t));
+            for j in 1..=between {
+                state.step_until(prev + (t - prev) * f64::from(j) / f64::from(between + 1));
+            }
             state.step_until(t);
             state.step_until(t);
             for &req in chunk {
@@ -1874,18 +1943,111 @@ mod tests {
                                 &retry
                             )
                         );
-                        for group in [1, 3] {
-                            let fed = lockstep(&engine, policy.as_ref(), &plan, trace, group);
+                        for (group, between) in [(1, 1), (3, 1), (1, 7)] {
+                            let fed =
+                                lockstep(&engine, policy.as_ref(), &plan, trace, group, between);
                             assert_eq!(
                                 format!("{fed:?}"),
                                 whole,
-                                "{} fed in groups of {group}",
+                                "{} fed in groups of {group}, {between} steps apart",
                                 policy.name()
                             );
                         }
                     }
                 }
             }
+        }
+    }
+
+    /// The whole prefill of `prompt` tokens and one decode step of
+    /// `batch` at `context` tokens on `engine`, in ns, as the scheduler
+    /// prices them.
+    fn prices(engine: &ServingEngine, prompt: u64, batch: u64, context: u64) -> (i64, i64) {
+        let bucket = (context / 256).max(1) * 256;
+        (
+            to_ns(engine.prefill_ms(1, prompt) / 1e3),
+            to_ns(engine.decode_step(batch, bucket).total_ms() / 1e3),
+        )
+    }
+
+    #[test]
+    fn a_lone_request_costs_its_prefill_and_one_step_per_token() {
+        // 300 + 100 tokens stay in the 256-token bucket, so every round
+        // repeats one step: one full round, a 98-round fast-forward, and
+        // the round that finishes it.
+        let zip = engine(EngineKind::ZipServ);
+        let (prefill, step) = prices(&zip, 300, 1, 300);
+        let report = run_policy(&zip, &Fcfs, 64, vec![Request::new(0, 1.25, 300, 100)]);
+        let done = report.completions[0];
+        assert_eq!(done.latency_s, to_s(prefill + 100 * step));
+        assert_eq!(done.ttft_s, to_s(prefill + step));
+        assert_eq!(report.duration_s, to_s(to_ns(1.25) + prefill + 100 * step));
+        assert_eq!(
+            report.step_cache,
+            StepCacheStats {
+                hits: 99,
+                misses: 1
+            }
+        );
+    }
+
+    #[test]
+    fn an_arrival_mid_skip_waits_for_the_next_round_boundary() {
+        // A decodes alone from 0 s; its rounds end at `prefill + k·step`.
+        // B lands half-way through round 11 and is admitted when it ends;
+        // landing exactly on the end of round 10, it is admitted there.
+        let zip = engine(EngineKind::ZipServ);
+        let (prefill, step) = prices(&zip, 300, 1, 300);
+        let (prefill_b, step_2) = prices(&zip, 300, 2, 305);
+        let round_end = |k: i64| prefill + k * step;
+        for (b_at, admitted_at) in [
+            (round_end(10) + step / 2, round_end(11)),
+            (round_end(10), round_end(10)),
+        ] {
+            let a = Request::new(0, 0.0, 300, 200);
+            let b = Request::new(1, to_s(b_at), 300, 8);
+            let report = run_policy(&zip, &Fcfs, 64, vec![a, b]);
+            let b_done = report.completions.iter().find(|c| c.id == 1).expect("B");
+            assert_eq!(b_done.ttft_s, to_s(admitted_at + prefill_b + step_2 - b_at));
+        }
+    }
+
+    #[test]
+    fn a_stall_mid_skip_is_charged_at_the_next_round_boundary() {
+        // A 0.25 s KV stall lands half-way through A's round 11: the
+        // fast-forward stops when that round ends, and the stall is
+        // charged there.
+        let zip = engine(EngineKind::ZipServ);
+        let (prefill, step) = prices(&zip, 300, 1, 300);
+        let stall_at = prefill + 10 * step + step / 2;
+        let plan = FaultPlan::new().kv_stall(to_s(stall_at), 0.25);
+        let retry = RetryPolicy::default();
+        let mut state = SchedulerState::new(&zip, &Fcfs, 64, &plan, &retry);
+        state.push(Request::new(0, 0.0, 300, 200));
+        state.step_until(to_s(stall_at));
+        assert_eq!(state.now, prefill + 11 * step + to_ns(0.25));
+        assert_eq!(state.running[0].generated, 11);
+        let report = state.finish();
+        assert_eq!(report.robustness.stall_s, 0.25);
+        assert_eq!(
+            report.completions[0].latency_s,
+            to_s(prefill + 200 * step + to_ns(0.25))
+        );
+    }
+
+    #[test]
+    fn prefill_chunks_sum_to_the_whole_prefill() {
+        // Two chunks of an odd number of ns: the second carries the
+        // remainder, so a lone request's TTFT is its whole prefill plus
+        // its first decode step, to the nanosecond.
+        for micro_batches in [1, 2] {
+            let engine = pipelined(micro_batches);
+            let prompt = (300..400)
+                .find(|&p| prices(&engine, p, 1, p).0 % 2 == 1)
+                .expect("an odd prefill among 100 prompt lengths");
+            let (prefill, step) = prices(&engine, prompt, 1, prompt);
+            let report = run_policy(&engine, &Fcfs, 64, vec![Request::new(0, 0.0, prompt, 8)]);
+            assert_eq!(report.completions[0].ttft_s, to_s(prefill + step));
         }
     }
 
@@ -2072,19 +2234,23 @@ mod tests {
             .build()
     }
 
-    /// A resident admitted on arrival with nothing generated yet, `chunks`
-    /// prefill chunks of 1 ms each short of decoding.
+    /// One millisecond on the scheduler's clock.
+    const MS: i64 = 1_000_000;
+
+    /// A resident of [`pipelined`] admitted on arrival with nothing
+    /// generated yet, `chunks` of its prefill's two 1 ms chunks short of
+    /// decoding.
     fn resident(req: Request, chunks: u32) -> RunningRequest {
         RunningRequest {
             req,
-            admitted_s: req.arrival_s,
+            admitted_ns: to_ns(req.arrival_s),
             generated: 0,
             preemptions: 0,
-            first_admitted_s: req.arrival_s,
-            first_token_s: None,
+            first_admitted_ns: to_ns(req.arrival_s),
+            first_token_ns: None,
             retries: 0,
             prefill_chunks_left: chunks,
-            prefill_chunk_s: 1e-3,
+            prefill_ns: 2 * MS,
         }
     }
 
@@ -2137,12 +2303,12 @@ mod tests {
             resident(Request::new(1, 0.0, 4000, 8), 2),
         ];
         state.reserved_pages = pages_for(600 + 1) + pages_for(4000 + 8);
-        assert!(state.decode_round().is_none(), "B is still prefilling");
-        let step_s = engine.decode_step(1, 512).total_ms() / 1e3;
-        assert_eq!(state.now, 1e-3 + step_s);
+        state.decode_round();
+        let step = to_ns(engine.decode_step(1, 512).total_ms() / 1e3);
+        assert_eq!(state.now, MS + step);
         assert_eq!(state.output_tokens, 1);
         assert_eq!(state.completions.len(), 1);
-        assert_eq!(state.completions[0].ttft_s, 1e-3 + step_s);
+        assert_eq!(state.completions[0].ttft_s, to_s(MS + step));
         assert_eq!(state.running.len(), 1);
         assert_eq!(state.running[0].prefill_chunks_left, 1);
         assert_eq!(state.reserved_pages, pages_for(4000 + 8));
@@ -2163,8 +2329,8 @@ mod tests {
         }
         let mut rounds = Vec::new();
         for _ in 0..3 {
-            // A horizon a hair past the clock runs exactly one round.
-            state.step_until(state.now + 1e-9);
+            // A horizon a nanosecond past the clock runs exactly one round.
+            state.step_until(to_s(state.now + 1));
             rounds.push(
                 state
                     .running

@@ -425,7 +425,9 @@ impl Trace {
 
     /// Parses a trace back into the request stream [`Trace::record`]
     /// serialized, bit-identically. Blank lines and `#` comments after
-    /// the header are skipped.
+    /// the header are skipped. An arrival time `t` must be a finite
+    /// number: `NaN`, `inf` and literals that overflow to infinity (such
+    /// as `1e400`) return a [`TraceError`] naming the line.
     ///
     /// Fields are separated, and lines trimmed, by ASCII whitespace only:
     /// space, tab, line feed, form feed and carriage return. Any other
@@ -461,7 +463,16 @@ impl Trace {
                 let bad = |what: &str| err(line_no, format!("bad {what} {value:?}"));
                 match key {
                     "id" => id = Some(value.parse::<u64>().map_err(|_| bad("id"))?),
-                    "t" => t = Some(value.parse::<f64>().map_err(|_| bad("t"))?),
+                    "t" => {
+                        // `f64::from_str` also takes `NaN`, `inf` and
+                        // literals that overflow to infinity, which no
+                        // scheduler clock can hold.
+                        let at = value.parse::<f64>().map_err(|_| bad("t"))?;
+                        if !at.is_finite() {
+                            return Err(bad("t"));
+                        }
+                        t = Some(at);
+                    }
                     "prompt" => prompt = Some(value.parse::<u64>().map_err(|_| bad("prompt"))?),
                     "output" => output = Some(value.parse::<u64>().map_err(|_| bad("output"))?),
                     "class" => {
@@ -695,10 +706,17 @@ mod tests {
     fn trace_rejects_malformed_input() {
         assert_eq!(Trace::replay("").unwrap_err().line, 1);
         assert_eq!(Trace::replay("nonsense").unwrap_err().line, 1);
-        let bad_field = format!("{}\nid=0 t=oops prompt=1 output=1", Trace::HEADER);
-        let e = Trace::replay(&bad_field).unwrap_err();
-        assert_eq!(e.line, 2);
-        assert!(e.msg.contains("bad t"), "{}", e.msg);
+        // `f64::from_str` parses the last three, none of them a time a
+        // scheduler can serve at.
+        for t in ["oops", "NaN", "inf", "1e400"] {
+            let bad_field = format!(
+                "{}\nid=0 t=0.5 prompt=1 output=1\nid=1 t={t} prompt=1 output=1",
+                Trace::HEADER
+            );
+            let e = Trace::replay(&bad_field).unwrap_err();
+            assert_eq!(e.line, 3, "t={t}");
+            assert!(e.msg.contains("bad t"), "t={t}: {}", e.msg);
+        }
         let missing = format!("{}\nid=0 prompt=1 output=1", Trace::HEADER);
         assert!(Trace::replay(&missing)
             .unwrap_err()

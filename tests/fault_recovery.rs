@@ -9,7 +9,7 @@ use std::collections::{BTreeSet, HashMap};
 use zipserv::gpu::device::Gpu;
 use zipserv::kernels::shapes::LlmModel;
 use zipserv::prelude::*;
-use zipserv::serve::scheduler::{run_policy, run_policy_faulted};
+use zipserv::serve::scheduler::{run_policy, run_policy_faulted, to_ns};
 
 fn builder(kind: EngineKind) -> EngineBuilder {
     ServingEngine::builder()
@@ -393,8 +393,20 @@ fn link_degradation_slows_but_loses_nothing() {
     let arrivals = poisson_arrivals(8.0, 40, 512, 128, 3);
     let clean = run_policy(&engine, &Fcfs, 64, arrivals.clone());
     assert!(clean.comm_s > 0.0, "TP deployment pays communication");
-    let plan = FaultPlan::new().link_degrade(0.0, 4.0, clean.duration_s * 2.0);
-    let report = run_policy_faulted(&engine, &Fcfs, 64, arrivals, &plan, &RetryPolicy::default());
+    let degraded = |window_s: f64| {
+        let plan = FaultPlan::new().link_degrade(0.0, 4.0, window_s);
+        run_policy_faulted(
+            &engine,
+            &Fcfs,
+            64,
+            arrivals.clone(),
+            &plan,
+            &RetryPolicy::default(),
+        )
+    };
+    let report = degraded(clean.duration_s * 2.0);
+    // A window longer than the nanosecond clock's range lasts the run too.
+    assert_eq!(degraded(1e12), report);
     assert_eq!(report.completions.len(), clean.completions.len());
     assert!(report.rejections.is_empty());
     assert_eq!(report.robustness.link_degrades, 1);
@@ -454,8 +466,10 @@ fn stalls_and_corrupt_frames_charge_time() {
     );
     assert_eq!(rc.completions.len(), clean.completions.len());
     assert_eq!(rc.robustness.frame_corruptions, 3);
-    assert!(
-        (rc.robustness.refetch_s - 3.0 * refetch).abs() < 1e-12,
+    // The charge enters the scheduler's nanosecond clock once, rounded.
+    assert_eq!(
+        rc.robustness.refetch_s,
+        to_ns(3.0 * refetch) as f64 / 1e9,
         "re-fetch time is frames x one frame's PCIe transfer"
     );
     assert!(rc.duration_s > clean.duration_s);

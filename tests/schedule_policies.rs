@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use std::collections::{HashMap, VecDeque};
 use zipserv::prelude::*;
 use zipserv::serve::scheduler::{
-    poisson_arrivals as poisson, run_policy, Completion, StepCacheStats,
+    poisson_arrivals as poisson, run_policy, to_ns, Completion, StepCacheStats,
 };
 
 fn zip_engine() -> ServingEngine {
@@ -24,6 +24,11 @@ fn zip_engine() -> ServingEngine {
 /// admission its prefill, run one decode step for the whole batch, priced
 /// once per `(batch, context bucket)`, and retire finished requests.
 ///
+/// Time runs on the scheduler's integer clock: arrivals and prices enter
+/// as nanoseconds rounded by [`to_ns`], every decode round adds its step
+/// one at a time, and each report field is one nanosecond total converted
+/// to seconds.
+///
 /// # Panics
 ///
 /// Panics on a request that cannot fit the deployment alone.
@@ -34,22 +39,25 @@ fn fcfs_oracle(
 ) -> ScheduleReport {
     struct Running {
         req: Request,
-        admitted_s: f64,
+        arrival: i64,
+        admitted: i64,
         generated: u64,
-        first_token_s: Option<f64>,
+        first_token: Option<i64>,
     }
+    let secs = |ns: i64| ns as f64 / 1e9;
     trace.sort_by(|a, b| a.arrival_s.partial_cmp(&b.arrival_s).expect("finite"));
     let capacity = engine.kv_capacity_tokens();
     let mut queue: VecDeque<Request> = trace.into();
     let mut running: Vec<Running> = Vec::new();
     let mut completions = Vec::new();
-    let (mut now, mut peak_batch, mut output_tokens) = (0.0f64, 0usize, 0u64);
-    let mut step_ms: HashMap<(u64, u64), f64> = HashMap::new();
+    let (mut now, mut peak_batch, mut output_tokens) = (0i64, 0usize, 0u64);
+    let mut step_ns: HashMap<(u64, u64), i64> = HashMap::new();
     let mut steps = 0u64;
     while !queue.is_empty() || !running.is_empty() {
         while let Some(next) = queue.front() {
-            if next.arrival_s > now && running.is_empty() {
-                now = next.arrival_s;
+            let arrival = to_ns(next.arrival_s);
+            if arrival > now && running.is_empty() {
+                now = arrival;
             }
             let demand = running
                 .iter()
@@ -57,16 +65,17 @@ fn fcfs_oracle(
                 .sum::<u64>()
                 + next.prompt_len
                 + next.output_len;
-            if next.arrival_s > now || running.len() >= max_batch || demand > capacity {
+            if arrival > now || running.len() >= max_batch || demand > capacity {
                 break;
             }
             let req = queue.pop_front().expect("checked front");
-            now += engine.prefill_ms(1, req.prompt_len) / 1e3;
+            now += to_ns(engine.prefill_ms(1, req.prompt_len) / 1e3);
             running.push(Running {
                 req,
-                admitted_s: now,
+                arrival,
+                admitted: now,
                 generated: 0,
-                first_token_s: None,
+                first_token: None,
             });
         }
         assert!(!running.is_empty(), "oracle traces fit the deployment");
@@ -79,33 +88,32 @@ fn fcfs_oracle(
             .sum::<u64>()
             / batch;
         let bucket = (mean_context / 256).max(1) * 256;
-        let ms = *step_ms
+        now += *step_ns
             .entry((batch, bucket))
-            .or_insert_with(|| engine.decode_step(batch, bucket).total_ms());
-        now += ms / 1e3;
+            .or_insert_with(|| to_ns(engine.decode_step(batch, bucket).total_ms() / 1e3));
         output_tokens += batch;
         steps += 1;
 
         for f in running.iter_mut() {
             f.generated += 1;
-            f.first_token_s.get_or_insert(now);
+            f.first_token.get_or_insert(now);
         }
         running.retain(|f| {
             if f.generated < f.req.output_len {
                 return true;
             }
-            let first_token = f.first_token_s.expect("decoded at least once");
-            let ttft_s = first_token - f.req.arrival_s;
+            let first_token = f.first_token.expect("decoded at least once");
+            let ttft_s = secs(first_token - f.arrival);
             completions.push(Completion {
                 id: f.req.id,
                 priority: f.req.priority,
-                queue_s: f.admitted_s - f.req.arrival_s,
-                latency_s: now - f.req.arrival_s,
+                queue_s: secs(f.admitted - f.arrival),
+                latency_s: secs(now - f.arrival),
                 ttft_s,
                 preemptions: 0,
                 slo_met: f.req.slo.map(|slo| {
                     let decode_budget = slo.tpot_s * f.req.output_len.saturating_sub(1) as f64;
-                    ttft_s <= slo.ttft_s && now - first_token <= decode_budget
+                    ttft_s <= slo.ttft_s && secs(now - first_token) <= decode_budget
                 }),
                 output_len: f.req.output_len,
                 retries: 0,
@@ -115,9 +123,9 @@ fn fcfs_oracle(
     }
     ScheduleReport {
         completions,
-        duration_s: now,
-        throughput_tps: if now > 0.0 {
-            output_tokens as f64 / now
+        duration_s: secs(now),
+        throughput_tps: if now > 0 {
+            output_tokens as f64 / secs(now)
         } else {
             0.0
         },
@@ -129,8 +137,8 @@ fn fcfs_oracle(
         robustness: RobustnessStats::default(),
         // Each distinct step shape is priced once; every other step hits.
         step_cache: StepCacheStats {
-            hits: steps - step_ms.len() as u64,
-            misses: step_ms.len() as u64,
+            hits: steps - step_ns.len() as u64,
+            misses: step_ns.len() as u64,
         },
         prefix: PrefixStats::default(),
         policy: Fcfs.name().to_string(),

@@ -25,6 +25,17 @@
 //!   cache over-committed its budget. Page counting replaced page
 //!   allocation in the same change and moved no other pin.
 //!
+//! Then every pin was re-recorded once, when the scheduler's clock became
+//! integer nanoseconds. Each price (prefill, prefill chunk, decode step,
+//! stall, swap, re-fetch) now enters the clock rounded to a whole
+//! nanosecond, and each report field is one nanosecond total converted to
+//! seconds, so nearly every float moved in its low digits: a clock that
+//! adds thousands of rounded steps drifts from the old float sum by up to
+//! 0.94 µs on these traces. Against the reports recorded before the
+//! change, every id, count and counter is identical — completion order,
+//! rejections, preemptions, step-cache hits and misses, prefix counters —
+//! and no admission, preemption or fault decision moved.
+//!
 //! On a mismatch the failure message prints the whole current table,
 //! ready to paste back after an intended behaviour change.
 
@@ -153,98 +164,98 @@ fn current_digests() -> Vec<(String, u64)> {
 
 #[rustfmt::skip]
 const PINS: &[(&str, u64)] = &[
-    ("fcfs/rtx4090_whole/paper_1.6/clean", 0x20e0e9abf23fb799),
-    ("fcfs/rtx4090_whole/paper_1.6/faulted", 0xb01e1155cc98be15),
-    ("fcfs/rtx4090_whole/paper_12/clean", 0xeb941be782e4656e),
-    ("fcfs/rtx4090_whole/paper_12/faulted", 0x024d69c1a4f18d89),
-    ("fcfs/rtx4090_whole/tenant_2/clean", 0xf23ac62ca27f499b),
-    ("fcfs/rtx4090_whole/tenant_2/faulted", 0x63c8eea0a6fed3c0),
-    ("fcfs/rtx4090_chunked_prefix/paper_1.6/clean", 0x735af69865460b07),
-    ("fcfs/rtx4090_chunked_prefix/paper_1.6/faulted", 0x0b9147060405e51f),
-    ("fcfs/rtx4090_chunked_prefix/paper_12/clean", 0xb3b97b06d61d3af7),
-    ("fcfs/rtx4090_chunked_prefix/paper_12/faulted", 0xe93435c971fbc165),
-    ("fcfs/rtx4090_chunked_prefix/tenant_2/clean", 0x56e6f1713a2571c7),
-    ("fcfs/rtx4090_chunked_prefix/tenant_2/faulted", 0x5461bd6bc55582e7),
-    ("fcfs/l40s_pp2_chunked/paper_1.6/clean", 0x8d11d1115bb3e3ce),
-    ("fcfs/l40s_pp2_chunked/paper_1.6/faulted", 0x886fe1efa6655993),
-    ("fcfs/l40s_pp2_chunked/paper_12/clean", 0xf82c3b5d45cd3d7e),
-    ("fcfs/l40s_pp2_chunked/paper_12/faulted", 0x0fa061e9e0e5290a),
-    ("fcfs/l40s_pp2_chunked/tenant_2/clean", 0xac838a5fb4d2b7e2),
-    ("fcfs/l40s_pp2_chunked/tenant_2/faulted", 0xa1de4b72f931cb4e),
-    ("priority/rtx4090_whole/paper_1.6/clean", 0x86c7e0a4417c7656),
-    ("priority/rtx4090_whole/paper_1.6/faulted", 0x9ba45dfea21af041),
-    ("priority/rtx4090_whole/paper_12/clean", 0x8f74f3f0aefb8ec3),
-    ("priority/rtx4090_whole/paper_12/faulted", 0xc4045c47bcc9c03a),
-    ("priority/rtx4090_whole/tenant_2/clean", 0xdc1e17558c0a176d),
-    ("priority/rtx4090_whole/tenant_2/faulted", 0x5e851fc354649dcc),
-    ("priority/rtx4090_chunked_prefix/paper_1.6/clean", 0x6f0842e79846b297),
-    ("priority/rtx4090_chunked_prefix/paper_1.6/faulted", 0x1b4d3bbc01b7ab75),
-    ("priority/rtx4090_chunked_prefix/paper_12/clean", 0x85c50c071439d8c0),
-    ("priority/rtx4090_chunked_prefix/paper_12/faulted", 0x9e3f6fa994d535fd),
-    ("priority/rtx4090_chunked_prefix/tenant_2/clean", 0xa598abc56753baa7),
-    ("priority/rtx4090_chunked_prefix/tenant_2/faulted", 0x0d8d6986db729ecc),
-    ("priority/l40s_pp2_chunked/paper_1.6/clean", 0xe6772770a594e031),
-    ("priority/l40s_pp2_chunked/paper_1.6/faulted", 0x021ba54cd97d9de4),
-    ("priority/l40s_pp2_chunked/paper_12/clean", 0xab06dce02f92ca76),
-    ("priority/l40s_pp2_chunked/paper_12/faulted", 0x4864d97c6689d5a4),
-    ("priority/l40s_pp2_chunked/tenant_2/clean", 0x8b23b8d05824821f),
-    ("priority/l40s_pp2_chunked/tenant_2/faulted", 0x2cfe7b24e2d538e5),
-    ("slo-edf/rtx4090_whole/paper_1.6/clean", 0xf235062a53044dc7),
-    ("slo-edf/rtx4090_whole/paper_1.6/faulted", 0xf2f718ce2aba16e7),
-    ("slo-edf/rtx4090_whole/paper_12/clean", 0xb3ed1488b5bfea5d),
-    ("slo-edf/rtx4090_whole/paper_12/faulted", 0xa42810cc57422c05),
-    ("slo-edf/rtx4090_whole/tenant_2/clean", 0x5f1f0f1ae04bd6d8),
-    ("slo-edf/rtx4090_whole/tenant_2/faulted", 0xf35c8e6ee7ce2c45),
-    ("slo-edf/rtx4090_chunked_prefix/paper_1.6/clean", 0xecbad72d186faf40),
-    ("slo-edf/rtx4090_chunked_prefix/paper_1.6/faulted", 0x1d50abd44aa1dccb),
-    ("slo-edf/rtx4090_chunked_prefix/paper_12/clean", 0x9c7eb9751b76058b),
-    ("slo-edf/rtx4090_chunked_prefix/paper_12/faulted", 0xcf42a754ce205462),
-    ("slo-edf/rtx4090_chunked_prefix/tenant_2/clean", 0x3ffd260ad4b61572),
-    ("slo-edf/rtx4090_chunked_prefix/tenant_2/faulted", 0x76833ad29cfb09a7),
-    ("slo-edf/l40s_pp2_chunked/paper_1.6/clean", 0x2cc9c3b0873e6afe),
-    ("slo-edf/l40s_pp2_chunked/paper_1.6/faulted", 0x4e84e3da86f455ff),
-    ("slo-edf/l40s_pp2_chunked/paper_12/clean", 0x2ee232c99904eb78),
-    ("slo-edf/l40s_pp2_chunked/paper_12/faulted", 0x73be06b4bced748a),
-    ("slo-edf/l40s_pp2_chunked/tenant_2/clean", 0x4bde6e43247d0734),
-    ("slo-edf/l40s_pp2_chunked/tenant_2/faulted", 0xa811771c10e5f880),
-    ("preemptive-sjf/rtx4090_whole/paper_1.6/clean", 0xc73f328fe978aa37),
-    ("preemptive-sjf/rtx4090_whole/paper_1.6/faulted", 0xb300cd8cfcd1d547),
-    ("preemptive-sjf/rtx4090_whole/paper_12/clean", 0x6936579158abcac4),
-    ("preemptive-sjf/rtx4090_whole/paper_12/faulted", 0x3d1f840d465e9ae2),
-    ("preemptive-sjf/rtx4090_whole/tenant_2/clean", 0xb815eb82d179e138),
-    ("preemptive-sjf/rtx4090_whole/tenant_2/faulted", 0x4474cb44151276ab),
-    ("preemptive-sjf/rtx4090_chunked_prefix/paper_1.6/clean", 0x9d216e796dd3beea),
-    ("preemptive-sjf/rtx4090_chunked_prefix/paper_1.6/faulted", 0xd6b894211fffda74),
-    ("preemptive-sjf/rtx4090_chunked_prefix/paper_12/clean", 0xf545d9d0c41f51b6),
-    ("preemptive-sjf/rtx4090_chunked_prefix/paper_12/faulted", 0x1754e99393cdaa90),
-    ("preemptive-sjf/rtx4090_chunked_prefix/tenant_2/clean", 0x28387d625b5c835a),
-    ("preemptive-sjf/rtx4090_chunked_prefix/tenant_2/faulted", 0x31773582f049aaa2),
-    ("preemptive-sjf/l40s_pp2_chunked/paper_1.6/clean", 0xced47ae7ccd324a4),
-    ("preemptive-sjf/l40s_pp2_chunked/paper_1.6/faulted", 0xead660cf96289c0f),
-    ("preemptive-sjf/l40s_pp2_chunked/paper_12/clean", 0xa815888ae202a397),
-    ("preemptive-sjf/l40s_pp2_chunked/paper_12/faulted", 0x6338023f12597202),
-    ("preemptive-sjf/l40s_pp2_chunked/tenant_2/clean", 0x9ef937ee3b849b14),
-    ("preemptive-sjf/l40s_pp2_chunked/tenant_2/faulted", 0x8e519c6adcfbef06),
-    ("preemptive-sjf-pageout/rtx4090_whole/paper_1.6/clean", 0x9ba84c2daf865587),
-    ("preemptive-sjf-pageout/rtx4090_whole/paper_1.6/faulted", 0x928f3dd220d808b7),
-    ("preemptive-sjf-pageout/rtx4090_whole/paper_12/clean", 0x0e474025f5b8c2ac),
-    ("preemptive-sjf-pageout/rtx4090_whole/paper_12/faulted", 0xfdb7c1d35dbfe252),
-    ("preemptive-sjf-pageout/rtx4090_whole/tenant_2/clean", 0x85ea8e3de1884bb0),
-    ("preemptive-sjf-pageout/rtx4090_whole/tenant_2/faulted", 0x2da2d395f81fa9eb),
-    ("preemptive-sjf-pageout/rtx4090_chunked_prefix/paper_1.6/clean", 0xd8641701c9eef87a),
-    ("preemptive-sjf-pageout/rtx4090_chunked_prefix/paper_1.6/faulted", 0x9673e10325dfc7bc),
-    ("preemptive-sjf-pageout/rtx4090_chunked_prefix/paper_12/clean", 0xa170d04748a221a6),
-    ("preemptive-sjf-pageout/rtx4090_chunked_prefix/paper_12/faulted", 0xee3df7f834574b68),
-    ("preemptive-sjf-pageout/rtx4090_chunked_prefix/tenant_2/clean", 0xfeda71e7d980030a),
-    ("preemptive-sjf-pageout/rtx4090_chunked_prefix/tenant_2/faulted", 0xe3cbd844b052c392),
-    ("preemptive-sjf-pageout/l40s_pp2_chunked/paper_1.6/clean", 0xce368f086832a90c),
-    ("preemptive-sjf-pageout/l40s_pp2_chunked/paper_1.6/faulted", 0x0af88eda638ba55f),
-    ("preemptive-sjf-pageout/l40s_pp2_chunked/paper_12/clean", 0x09329868e6b400e7),
-    ("preemptive-sjf-pageout/l40s_pp2_chunked/paper_12/faulted", 0x7cfea0fb22a557f2),
-    ("preemptive-sjf-pageout/l40s_pp2_chunked/tenant_2/clean", 0xcf4eda8731a24b5c),
-    ("preemptive-sjf-pageout/l40s_pp2_chunked/tenant_2/faulted", 0xc52624c81621bd56),
-    ("fleet/p2c_x4/paper_6", 0x38ada58a7855f36b),
-    ("fleet/affinity_x4/tenant_8/faulted", 0xfdba44f8815141e4),
+    ("fcfs/rtx4090_whole/paper_1.6/clean", 0xb101c42d317bf65b),
+    ("fcfs/rtx4090_whole/paper_1.6/faulted", 0xfccd53514b2250c3),
+    ("fcfs/rtx4090_whole/paper_12/clean", 0xd029967a13de5e04),
+    ("fcfs/rtx4090_whole/paper_12/faulted", 0x80db2ca5e3442870),
+    ("fcfs/rtx4090_whole/tenant_2/clean", 0x1be83c75be4cc68b),
+    ("fcfs/rtx4090_whole/tenant_2/faulted", 0xf5e15f45678788f5),
+    ("fcfs/rtx4090_chunked_prefix/paper_1.6/clean", 0xf7c7b03e91898eb1),
+    ("fcfs/rtx4090_chunked_prefix/paper_1.6/faulted", 0xd8e7a3849da4cdbe),
+    ("fcfs/rtx4090_chunked_prefix/paper_12/clean", 0x6ee337caace84b3e),
+    ("fcfs/rtx4090_chunked_prefix/paper_12/faulted", 0xa2c2dbab7d342aaa),
+    ("fcfs/rtx4090_chunked_prefix/tenant_2/clean", 0xf6f99fccade0b352),
+    ("fcfs/rtx4090_chunked_prefix/tenant_2/faulted", 0x227562af5a0e01c5),
+    ("fcfs/l40s_pp2_chunked/paper_1.6/clean", 0x5bfbd8f9cfa49213),
+    ("fcfs/l40s_pp2_chunked/paper_1.6/faulted", 0xe37f3c8bee96770e),
+    ("fcfs/l40s_pp2_chunked/paper_12/clean", 0x622194cf7b230a45),
+    ("fcfs/l40s_pp2_chunked/paper_12/faulted", 0x0643c98814882e9c),
+    ("fcfs/l40s_pp2_chunked/tenant_2/clean", 0x425f5fbf69b06472),
+    ("fcfs/l40s_pp2_chunked/tenant_2/faulted", 0x889bcd17a1235404),
+    ("priority/rtx4090_whole/paper_1.6/clean", 0x4100ed6fe6ac190b),
+    ("priority/rtx4090_whole/paper_1.6/faulted", 0x943ef29c0537f072),
+    ("priority/rtx4090_whole/paper_12/clean", 0xace9f422fad97df5),
+    ("priority/rtx4090_whole/paper_12/faulted", 0x61259dc0c7544f2f),
+    ("priority/rtx4090_whole/tenant_2/clean", 0xe41643c0532cd69c),
+    ("priority/rtx4090_whole/tenant_2/faulted", 0x4417a0c850838155),
+    ("priority/rtx4090_chunked_prefix/paper_1.6/clean", 0x9b20c6b30f4fba52),
+    ("priority/rtx4090_chunked_prefix/paper_1.6/faulted", 0x852ee1f66dfabe2e),
+    ("priority/rtx4090_chunked_prefix/paper_12/clean", 0xfce61a3c95429e04),
+    ("priority/rtx4090_chunked_prefix/paper_12/faulted", 0x868efa0a8109700f),
+    ("priority/rtx4090_chunked_prefix/tenant_2/clean", 0x9f9bd865af0eab39),
+    ("priority/rtx4090_chunked_prefix/tenant_2/faulted", 0x17a75220935b3aa5),
+    ("priority/l40s_pp2_chunked/paper_1.6/clean", 0x8867855f0b999df9),
+    ("priority/l40s_pp2_chunked/paper_1.6/faulted", 0xe8e4e7ef3291c64e),
+    ("priority/l40s_pp2_chunked/paper_12/clean", 0x556caa584f93d0fb),
+    ("priority/l40s_pp2_chunked/paper_12/faulted", 0x0edab6c966e86cd8),
+    ("priority/l40s_pp2_chunked/tenant_2/clean", 0x767f8510fc289cd4),
+    ("priority/l40s_pp2_chunked/tenant_2/faulted", 0xdf8ba08949dc8274),
+    ("slo-edf/rtx4090_whole/paper_1.6/clean", 0x7979709ddb7b96f4),
+    ("slo-edf/rtx4090_whole/paper_1.6/faulted", 0x6e11fc7ba4ac36e2),
+    ("slo-edf/rtx4090_whole/paper_12/clean", 0xed6d7dc9c6bf5177),
+    ("slo-edf/rtx4090_whole/paper_12/faulted", 0x2037511f6fba07f9),
+    ("slo-edf/rtx4090_whole/tenant_2/clean", 0xb9d5390c49a51ae2),
+    ("slo-edf/rtx4090_whole/tenant_2/faulted", 0x6d7fe3f1d4018853),
+    ("slo-edf/rtx4090_chunked_prefix/paper_1.6/clean", 0x7030117d810ed636),
+    ("slo-edf/rtx4090_chunked_prefix/paper_1.6/faulted", 0x7be53e7b83e37f71),
+    ("slo-edf/rtx4090_chunked_prefix/paper_12/clean", 0xf8df4c903c2bec80),
+    ("slo-edf/rtx4090_chunked_prefix/paper_12/faulted", 0xfd1b78ff5744fba7),
+    ("slo-edf/rtx4090_chunked_prefix/tenant_2/clean", 0x8a5953e8fdd6ea1a),
+    ("slo-edf/rtx4090_chunked_prefix/tenant_2/faulted", 0xfa8f8208a3166861),
+    ("slo-edf/l40s_pp2_chunked/paper_1.6/clean", 0xb20cbecbbabcb710),
+    ("slo-edf/l40s_pp2_chunked/paper_1.6/faulted", 0xfd780a792e62df81),
+    ("slo-edf/l40s_pp2_chunked/paper_12/clean", 0x760dc118a670f830),
+    ("slo-edf/l40s_pp2_chunked/paper_12/faulted", 0xcb990db3a6c4376a),
+    ("slo-edf/l40s_pp2_chunked/tenant_2/clean", 0x3de35778927643de),
+    ("slo-edf/l40s_pp2_chunked/tenant_2/faulted", 0xc35bae2a30083f55),
+    ("preemptive-sjf/rtx4090_whole/paper_1.6/clean", 0x91eea1d1927ae0be),
+    ("preemptive-sjf/rtx4090_whole/paper_1.6/faulted", 0x730b0b735286c411),
+    ("preemptive-sjf/rtx4090_whole/paper_12/clean", 0xf2ee46a9014924d4),
+    ("preemptive-sjf/rtx4090_whole/paper_12/faulted", 0xb4b033d246614ba5),
+    ("preemptive-sjf/rtx4090_whole/tenant_2/clean", 0x7a5eff44c9145a3d),
+    ("preemptive-sjf/rtx4090_whole/tenant_2/faulted", 0xe5ec8b6b3642de62),
+    ("preemptive-sjf/rtx4090_chunked_prefix/paper_1.6/clean", 0xd9b032ee2dc33f23),
+    ("preemptive-sjf/rtx4090_chunked_prefix/paper_1.6/faulted", 0x67cb02e71da72bf4),
+    ("preemptive-sjf/rtx4090_chunked_prefix/paper_12/clean", 0xad399c93b6839c63),
+    ("preemptive-sjf/rtx4090_chunked_prefix/paper_12/faulted", 0x45a42ef8a21251ff),
+    ("preemptive-sjf/rtx4090_chunked_prefix/tenant_2/clean", 0x72e7fb46da480354),
+    ("preemptive-sjf/rtx4090_chunked_prefix/tenant_2/faulted", 0x25ae90f81507f9fc),
+    ("preemptive-sjf/l40s_pp2_chunked/paper_1.6/clean", 0x1472495853534806),
+    ("preemptive-sjf/l40s_pp2_chunked/paper_1.6/faulted", 0xf1874651ae4dfd2e),
+    ("preemptive-sjf/l40s_pp2_chunked/paper_12/clean", 0xc760d4f2cc3c2738),
+    ("preemptive-sjf/l40s_pp2_chunked/paper_12/faulted", 0xbb9387c739025d59),
+    ("preemptive-sjf/l40s_pp2_chunked/tenant_2/clean", 0x6a35d30d2538d910),
+    ("preemptive-sjf/l40s_pp2_chunked/tenant_2/faulted", 0xe1367b4e0fbe822d),
+    ("preemptive-sjf-pageout/rtx4090_whole/paper_1.6/clean", 0x6e6cb9f87babee6e),
+    ("preemptive-sjf-pageout/rtx4090_whole/paper_1.6/faulted", 0xfd6bb964451a2a11),
+    ("preemptive-sjf-pageout/rtx4090_whole/paper_12/clean", 0xbcbd630bb604879c),
+    ("preemptive-sjf-pageout/rtx4090_whole/paper_12/faulted", 0xad73f2f46dce25e5),
+    ("preemptive-sjf-pageout/rtx4090_whole/tenant_2/clean", 0xdc9df576e39593dd),
+    ("preemptive-sjf-pageout/rtx4090_whole/tenant_2/faulted", 0x5ad79c854a2f95d2),
+    ("preemptive-sjf-pageout/rtx4090_chunked_prefix/paper_1.6/clean", 0x55276b02b95534a3),
+    ("preemptive-sjf-pageout/rtx4090_chunked_prefix/paper_1.6/faulted", 0x56d619bf4c80493c),
+    ("preemptive-sjf-pageout/rtx4090_chunked_prefix/paper_12/clean", 0xe8c145890e290a63),
+    ("preemptive-sjf-pageout/rtx4090_chunked_prefix/paper_12/faulted", 0xb9ea776cfcb3c1af),
+    ("preemptive-sjf-pageout/rtx4090_chunked_prefix/tenant_2/clean", 0x3ce6294114b0361c),
+    ("preemptive-sjf-pageout/rtx4090_chunked_prefix/tenant_2/faulted", 0x1e32c1b14a9ebda4),
+    ("preemptive-sjf-pageout/l40s_pp2_chunked/paper_1.6/clean", 0x32eb199fae1e3656),
+    ("preemptive-sjf-pageout/l40s_pp2_chunked/paper_1.6/faulted", 0xcf898fb492cc3d3e),
+    ("preemptive-sjf-pageout/l40s_pp2_chunked/paper_12/clean", 0xa6a22c44b6cf51b0),
+    ("preemptive-sjf-pageout/l40s_pp2_chunked/paper_12/faulted", 0x0173d8f3cde54959),
+    ("preemptive-sjf-pageout/l40s_pp2_chunked/tenant_2/clean", 0x2fd04a0e581949e8),
+    ("preemptive-sjf-pageout/l40s_pp2_chunked/tenant_2/faulted", 0xd419499cfc77b12d),
+    ("fleet/p2c_x4/paper_6", 0xca8f13471e454b45),
+    ("fleet/affinity_x4/tenant_8/faulted", 0xe04be3ffe8fbfa7d),
 ];
 
 #[test]
